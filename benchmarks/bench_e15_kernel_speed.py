@@ -1,15 +1,16 @@
 """E15 — Batched CSR kernels: the LDD hot path at numpy speed.
 
 Claim under test: the batched CSR kernel layer (``repro.graphs.csr``)
-makes ``low_diameter_decomposition`` ≥ 5x faster than the pure-Python
-reference on the 40x40 grid (ISSUE 1 acceptance), with bit-identical
-output — the Algorithm 2 ball-size estimation collapses from n
-single-source gathers into one packed frontier expansion.
+collapses the Algorithm 2 ball-size estimation from n single-source
+gathers into one packed frontier expansion, with bit-identical sizes.
+The CSR kernels are the library's only production path; their
+pure-Python counterparts survive as test oracles in
+``repro.graphs.reference``, and this bench times the two side by side.
 
-Measured: before/after wall-clock for the LDD end-to-end, the ``n_v``
-estimation in isolation and the Elkin–Neiman flood; the results are
-emitted as a JSON blob (machine-readable history for CHANGES.md
-speedup tables).
+Measured: oracle vs kernel wall-clock for the ``n_v`` estimation,
+``power(4)`` and the Elkin–Neiman flood, plus the LDD end to end on the
+kernels; the results are emitted as a JSON blob (machine-readable
+history for CHANGES.md speedup tables).
 
 The timing loop itself lives in the ``kernel-speed`` registry scenario
 — this bench (and the CI smoke) executes it through the
@@ -27,11 +28,11 @@ from repro.util.tables import Table
 
 EPS = 0.3
 GRID = (40, 40)
-# Acceptance is 5x on a quiet machine (measured ~10x).  The CI gate is
-# deliberately loose — shared runners can steal a scheduling quantum
-# from the ~0.1 s csr window — so it only catches the kernel collapsing
-# toward the pure-Python baseline, not ordinary timing noise.
-LDD_SPEEDUP_FLOOR = 2.0
+# Measured ~50x on a quiet machine.  The CI gate is deliberately loose
+# — shared runners can steal a scheduling quantum from the ~0.1 s csr
+# window — so it only catches the kernel collapsing toward the
+# pure-Python oracle, not ordinary timing noise.
+ESTIMATE_NV_SPEEDUP_FLOOR = 6.0
 
 
 def test_e15_kernel_speed(benchmark):
@@ -40,14 +41,13 @@ def test_e15_kernel_speed(benchmark):
     metrics = result.rows[0]["metrics"]
 
     pairs = [
-        ("ldd (end-to-end)", "ldd_python_s", "ldd_csr_s"),
         ("estimate n_v", "estimate_nv_python_s", "estimate_nv_csr_s"),
         ("power(4)", "power4_python_s", "power4_csr_s"),
         ("EN flood", "en_flood_python_s", "en_flood_csr_s"),
     ]
     rows, cols = GRID
     table = Table(
-        ["kernel", "python (s)", "csr (s)", "speedup"],
+        ["kernel", "python oracle (s)", "csr (s)", "speedup"],
         title=f"E15: CSR kernel speed on the {rows}x{cols} grid (eps={EPS})",
     )
     speedups = {}
@@ -60,21 +60,19 @@ def test_e15_kernel_speed(benchmark):
     table.print()
     print("E15-JSON:", json.dumps({"metrics": metrics, "speedups": speedups}))
 
-    # Identical outputs (spot check; the full proof is the equivalence
-    # suite in tests/test_graphs_csr.py).
-    assert metrics["backends_identical"]
+    # Identical ball sizes (spot check; the full proof is the
+    # equivalence suite in tests/test_graphs_csr.py).
+    assert metrics["nv_identical"]
 
-    assert metrics["ldd_speedup"] >= LDD_SPEEDUP_FLOOR
+    assert metrics["estimate_nv_speedup"] >= ESTIMATE_NV_SPEEDUP_FLOOR
     claim(
-        "CSR backend >= 5x on the 40x40 grid LDD with identical output",
-        f"measured {metrics['ldd_speedup']:.1f}x end-to-end "
-        f"({metrics['estimate_nv_speedup']:.0f}x on the n_v estimation "
-        "alone), decompositions bit-identical across backends",
+        "batched n_v estimation far faster than n single-source gathers",
+        f"measured {metrics['estimate_nv_speedup']:.0f}x on the n_v "
+        f"estimation, sizes bit-identical; LDD end to end "
+        f"{metrics['ldd_csr_s']:.3f}s",
     )
     benchmark(
-        lambda: low_diameter_decomposition(
-            grid_graph(rows, cols), eps=EPS, seed=0, backend="csr"
-        )
+        lambda: low_diameter_decomposition(grid_graph(rows, cols), eps=EPS, seed=0)
     )
 
 

@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
+from repro.artifacts.cache import SolveCache
 from repro.core.ldd import chang_li_ldd
 from repro.core.params import LddParams
 from repro.decomp.elkin_neiman import elkin_neiman_ldd
-from repro.ilp.exact import SolveCache, solve_packing_exact
+from repro.ilp.exact import solve_packing_exact
 from repro.ilp.instance import PackingInstance
 from repro.local.gather import RoundLedger
 from repro.util.rng import SeedLike, spawn_rngs

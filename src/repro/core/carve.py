@@ -27,11 +27,8 @@ from typing import Iterable, Optional, Sequence, Set, Tuple
 
 import repro.obs as _obs
 from repro.graphs.graph import Graph
-from repro.ilp.exact import (
-    SolveCache,
-    solve_covering_exact,
-    solve_packing_exact,
-)
+from repro.artifacts.cache import SolveCache
+from repro.ilp.exact import solve_covering_exact, solve_packing_exact
 from repro.ilp.instance import CoveringInstance, PackingInstance
 from repro.local.gather import gather_ball
 from repro.util.validation import require
@@ -71,8 +68,6 @@ def grow_and_carve(
     interval: Interval,
     remaining: Set[int],
     weights: Optional[Sequence[float]] = None,
-    backend: str = "python",
-    kernel_workers: Optional[int] = None,
     mpc=None,
 ) -> CarveOutcome:
     """Algorithm 1: delete the sparsest layer in ``interval``.
@@ -85,24 +80,15 @@ def grow_and_carve(
     the whole component is removed and nothing is deleted — the carve's
     purpose (isolating a cluster) is already achieved.
 
-    ``kernel_workers`` is threaded through to :func:`gather_ball` for
-    interface uniformity; a carve's gather is a single BFS and stays
-    serial (the knob matters to the drivers' *chunked* kernels).
-    ``mpc`` (an :class:`~repro.mpc.MpcRun` on this graph) runs the
-    gather as metered partitioned BFS rounds — bit-identical layers.
+    ``remaining`` may be a vertex set or a precomputed boolean residual
+    mask shared across the iteration's carves.  ``mpc`` (an
+    :class:`~repro.mpc.MpcRun` on this graph) runs the gather as
+    metered partitioned BFS rounds — bit-identical layers.
     """
     a, b = interval
     require(1 <= a <= b, f"invalid interval [{a}, {b}]")
     with _obs.span("carve.gather"):
-        gathered = gather_ball(
-            graph,
-            centers,
-            b,
-            within=remaining,
-            backend=backend,
-            kernel_workers=kernel_workers,
-            mpc=mpc,
-        )
+        gathered = gather_ball(graph, centers, b, within=remaining, mpc=mpc)
     layers = gathered.layers
     if gathered.depth_reached < a:
         return CarveOutcome(
@@ -139,8 +125,6 @@ def grow_and_carve_packing(
     interval: Interval,
     remaining: Set[int],
     cache: Optional[SolveCache] = None,
-    backend: str = "python",
-    kernel_workers: Optional[int] = None,
 ) -> CarveOutcome:
     """Algorithm 4: delete the middle layer of the lightest 3-window.
 
@@ -150,21 +134,13 @@ def grow_and_carve_packing(
     scores each window; the middle layer ``S_{j*+1}`` of the lightest
     window is deleted and ``N^{j*}(C)`` removed.
 
-    ``backend`` selects the gather engine as in :func:`grow_and_carve`;
-    with ``"csr"``, ``remaining`` may be a precomputed boolean residual
-    mask shared across the iteration's carves.
+    ``remaining`` may be a precomputed boolean residual mask, as in
+    :func:`grow_and_carve`.
     """
     a, b = interval
     require(1 <= a < b, f"invalid interval [{a}, {b}]")
     with _obs.span("carve.gather"):
-        gathered = gather_ball(
-            graph,
-            centers,
-            b - 1,
-            within=remaining,
-            backend=backend,
-            kernel_workers=kernel_workers,
-        )
+        gathered = gather_ball(graph, centers, b - 1, within=remaining)
     layers = gathered.layers
     if gathered.depth_reached < a:
         return CarveOutcome(
@@ -212,8 +188,6 @@ def grow_and_carve_covering(
     remaining: Set[int],
     fixed_ones: Set[int],
     cache: Optional[SolveCache] = None,
-    backend: str = "python",
-    kernel_workers: Optional[int] = None,
 ) -> CarveOutcome:
     """Algorithm 7: fix the lightest odd layer pair, remove ``N^{j*}``.
 
@@ -225,21 +199,13 @@ def grow_and_carve_covering(
     satisfied by the commitment.  Only ``N^{j*}`` is removed — the
     pair's outer layer stays in the residual graph.
 
-    ``backend`` selects the gather engine as in :func:`grow_and_carve`;
-    with ``"csr"``, ``remaining`` may be a precomputed boolean residual
-    mask shared across the iteration's carves.
+    ``remaining`` may be a precomputed boolean residual mask, as in
+    :func:`grow_and_carve`.
     """
     a, b = interval
     require(1 <= a < b, f"invalid interval [{a}, {b}]")
     with _obs.span("carve.gather"):
-        gathered = gather_ball(
-            graph,
-            centers,
-            b,
-            within=remaining,
-            backend=backend,
-            kernel_workers=kernel_workers,
-        )
+        gathered = gather_ball(graph, centers, b, within=remaining)
     layers = gathered.layers
     if gathered.depth_reached < a + 1:
         return CarveOutcome(

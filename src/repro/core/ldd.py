@@ -33,9 +33,8 @@ from repro.core.carve import grow_and_carve
 from repro.core.params import LddParams
 from repro.decomp.elkin_neiman import elkin_neiman_ldd
 from repro.decomp.types import Decomposition
-from repro.graphs.csr import check_backend
 from repro.graphs.graph import Graph
-from repro.local.gather import RoundLedger, gather_ball
+from repro.local.gather import RoundLedger
 from repro.mpc import MpcConfig, MpcRun, check_execution_backend
 from repro.util.rng import LazyRngStreams, SeedLike
 from repro.util.validation import require
@@ -59,7 +58,6 @@ def chang_li_ldd(
     weights: Optional[Sequence[float]] = None,
     skip_phase2: bool = False,
     trace: Optional[LddTrace] = None,
-    backend: str = "csr",
     kernel_workers: Optional[int] = None,
     execution_backend: str = "local",
     mpc=None,
@@ -72,19 +70,15 @@ def chang_li_ldd(
     3.2).  ``skip_phase2`` is an ablation hook (E12): it degrades the
     w.h.p. guarantee exactly as the analysis predicts.
 
-    ``backend`` selects the execution engine for every BFS-shaped step
-    (the ``n_v`` estimation, ball growing, the Elkin–Neiman flood and
-    the final components): ``"csr"`` (default) uses the batched numpy
-    kernels of :mod:`repro.graphs.csr`, ``"python"`` the reference
-    pure-Python implementations.  Unweighted runs produce bit-identical
-    decompositions on either backend; weighted runs may differ at
-    ``int(n_v)`` boundaries because float summation order differs.
+    Every BFS-shaped step (the ``n_v`` estimation, ball growing, the
+    Elkin–Neiman flood and the final components) runs on the batched
+    numpy kernels of :mod:`repro.graphs.csr`.
 
-    ``kernel_workers`` (csr backend) shards the ``n_v`` estimation's
-    source chunks — the wall-clock bottleneck of every scale trial —
-    over worker processes via :mod:`repro.graphs.parallel`; the
-    decomposition is bit-identical at any worker count.  ``None``
-    resolves through ``REPRO_KERNEL_WORKERS`` (default serial).
+    ``kernel_workers`` shards the ``n_v`` estimation's source chunks —
+    the wall-clock bottleneck of every scale trial — over worker
+    processes via :mod:`repro.graphs.parallel`; the decomposition is
+    bit-identical at any worker count.  ``None`` resolves through
+    ``REPRO_KERNEL_WORKERS`` (default serial).
 
     ``execution_backend`` selects the third parallelism level:
     ``"local"`` (default) keeps the whole graph on one box, ``"mpc"``
@@ -99,7 +93,6 @@ def chang_li_ldd(
     3 (Elkin–Neiman and the final components) stays coordinator-local —
     see the execution-backend matrix in ``src/repro/exp/README.md``.
     """
-    check_backend(backend)
     check_execution_backend(execution_backend)
     n = graph.n
     require(
@@ -108,10 +101,6 @@ def chang_li_ldd(
     mpc_run: Optional[MpcRun] = None
     owns_run = False
     if execution_backend == "mpc":
-        require(
-            backend == "csr",
-            "execution_backend='mpc' requires backend='csr'",
-        )
         config = MpcConfig() if mpc is None else mpc
         if isinstance(config, MpcConfig):
             mpc_run = config.start(graph.csr()) if n else None
@@ -130,29 +119,23 @@ def chang_li_ldd(
     try:
         # -- Estimate n_v = |N^{4tR}(v)| (Algorithm 2, line 1). -------
         # The hot path: one batched frontier expansion replaces n
-        # single-source gathers on the CSR backend.
+        # single-source gathers.
         estimates: Dict[int, float] = {}
         max_depth = 0
         with _obs.span("ldd.estimate_nv"):
-            if mpc_run is not None:
-                sizes, depths = mpc_run.all_ball_sizes(
-                    params.estimate_radius, weights=weights
-                )
+            if n:
+                if mpc_run is not None:
+                    sizes, depths = mpc_run.all_ball_sizes(
+                        params.estimate_radius, weights=weights
+                    )
+                else:
+                    sizes, depths = graph.csr().all_ball_sizes(
+                        params.estimate_radius,
+                        weights=weights,
+                        kernel_workers=kernel_workers,
+                    )
                 estimates = {v: float(sizes[v]) for v in range(n)}
                 max_depth = int(depths.max())
-            elif backend == "csr" and n:
-                sizes, depths = graph.csr().all_ball_sizes(
-                    params.estimate_radius,
-                    weights=weights,
-                    kernel_workers=kernel_workers,
-                )
-                estimates = {v: float(sizes[v]) for v in range(n)}
-                max_depth = int(depths.max())
-            else:
-                for v in range(n):
-                    gathered = gather_ball(graph, [v], params.estimate_radius)
-                    estimates[v] = _measure(gathered.ball, weights)
-                    max_depth = max(max_depth, gathered.depth_reached)
         ledger.charge("estimate-nv", params.estimate_radius, max_depth)
 
         # -- Phase 1: t sparsification iterations (Algorithm 2). ------
@@ -174,8 +157,6 @@ def chang_li_ldd(
                 f"phase1-iter{i}",
                 weights,
                 trace,
-                backend,
-                kernel_workers,
                 mpc_run,
             )
 
@@ -198,8 +179,6 @@ def chang_li_ldd(
                 "phase2",
                 weights,
                 trace,
-                backend,
-                kernel_workers,
                 mpc_run,
             )
         if trace is not None:
@@ -217,7 +196,6 @@ def chang_li_ldd(
                     ntilde=params.ntilde,
                     seed=rngs[2 * n],
                     within=remaining,
-                    backend=backend,
                 )
             deleted |= en.deleted
             ledger.merge(en.ledger, prefix="phase3-")
@@ -229,7 +207,7 @@ def chang_li_ldd(
             clusters = [
                 set(c)
                 for c in graph.connected_components(
-                    within=set(range(n)) - deleted, backend=backend
+                    within=set(range(n)) - deleted
                 )
             ]
     finally:
@@ -249,7 +227,6 @@ def low_diameter_decomposition(
     ntilde: Optional[int] = None,
     seed: SeedLike = None,
     profile: str = "practical",
-    backend: str = "csr",
     kernel_workers: Optional[int] = None,
     execution_backend: str = "local",
     mpc=None,
@@ -259,9 +236,9 @@ def low_diameter_decomposition(
 
     ``profile`` selects :meth:`LddParams.paper` or
     :meth:`LddParams.practical` (default; extra keyword arguments are
-    forwarded to the profile constructor).  ``backend``,
-    ``kernel_workers``, ``execution_backend`` and ``mpc`` are forwarded
-    to :func:`chang_li_ldd`.
+    forwarded to the profile constructor).  ``kernel_workers``,
+    ``execution_backend`` and ``mpc`` are forwarded to
+    :func:`chang_li_ldd`.
     """
     ntilde = ntilde if ntilde is not None else max(graph.n, 2)
     if profile == "paper":
@@ -274,19 +251,10 @@ def low_diameter_decomposition(
         graph,
         params,
         seed=seed,
-        backend=backend,
         kernel_workers=kernel_workers,
         execution_backend=execution_backend,
         mpc=mpc,
     )
-
-
-def _measure(vertices: Set[int], weights: Optional[Sequence[float]]) -> float:
-    if weights is None:
-        return float(len(vertices))
-    # Sorted: float summation order is part of the reproducibility
-    # contract (set iteration order is an implementation detail).
-    return sum(weights[v] for v in sorted(vertices))
 
 
 def _apply_carves(
@@ -299,16 +267,14 @@ def _apply_carves(
     label: str,
     weights: Optional[Sequence[float]],
     trace: Optional[LddTrace],
-    backend: str = "python",
-    kernel_workers: Optional[int] = None,
     mpc_run: Optional[MpcRun] = None,
 ) -> None:
     """Run all centers' carves against the same residual snapshot.
 
     Merge rule (Section 3.1.2): a vertex deleted by any execution is
-    deleted, even if another execution removed it.  On the CSR backend
-    the shared snapshot is converted to a boolean mask once and reused
-    by every carve's BFS.  With ``mpc_run``, every carve's gather runs
+    deleted, even if another execution removed it.  The shared snapshot
+    is converted to a boolean mask once and reused by every carve's
+    BFS.  With ``mpc_run``, every carve's gather runs
     as metered partitioned BFS rounds instead of the single-box kernel.
     """
     removed_now: Set[int] = set()
@@ -317,7 +283,7 @@ def _apply_carves(
     executed = 0
     with _obs.span(f"ldd.carve.{label}"):
         snapshot = remaining
-        if backend == "csr" and centers:
+        if centers:
             snapshot = graph.csr().residual_mask(remaining)
         for center in centers:
             if center not in remaining:
@@ -329,8 +295,6 @@ def _apply_carves(
                 interval,
                 snapshot,
                 weights=weights,
-                backend=backend,
-                kernel_workers=kernel_workers,
                 mpc=mpc_run,
             )
             removed_now |= outcome.removed

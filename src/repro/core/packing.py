@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
+from repro.artifacts.cache import SolveCache
 from repro.core.carve import grow_and_carve_packing
 from repro.core.params import PackingParams
 from repro.decomp.elkin_neiman import elkin_neiman_ldd
-from repro.graphs.csr import check_backend
 from repro.graphs.graph import Graph
-from repro.ilp.exact import SolveCache, solve_packing_exact
+from repro.ilp.exact import solve_packing_exact
 from repro.ilp.instance import PackingInstance
 from repro.local.gather import RoundLedger, gather_ball
 from repro.util.rng import SeedLike, spawn_rngs
@@ -65,18 +65,8 @@ def chang_li_packing(
     params: PackingParams,
     seed: SeedLike = None,
     cache: Optional[SolveCache] = None,
-    backend: str = "csr",
 ) -> PackingResult:
-    """Run the Theorem 1.2 algorithm with the given parameters.
-
-    ``backend`` selects the execution engine for every BFS-shaped step
-    — the preparation decompositions, the ``S_C`` neighborhood
-    gathers, the carving BFS, the Phase-3 flood and the final
-    components — exactly as in :func:`~repro.core.ldd.chang_li_ldd`:
-    ``"csr"`` (default) runs the batched numpy kernels, ``"python"``
-    the reference implementations; outputs are bit-identical.
-    """
-    check_backend(backend)
+    """Run the Theorem 1.2 algorithm with the given parameters."""
     cache = cache if cache is not None else SolveCache()
     hypergraph = instance.hypergraph()
     graph = hypergraph.primal_graph()
@@ -87,9 +77,7 @@ def chang_li_packing(
     phase_rng = rng_streams[params.prep_count]
     phase3_rng = rng_streams[params.prep_count + 1]
 
-    clusters = _prepare_clusters(
-        instance, graph, params, prep_rngs, ledger, cache, backend
-    )
+    clusters = _prepare_clusters(instance, graph, params, prep_rngs, ledger, cache)
 
     remaining: Set[int] = set(range(n))
     deleted: Set[int] = set()
@@ -117,7 +105,6 @@ def chang_li_packing(
             ledger,
             f"phase1-iter{i}",
             cache,
-            backend,
         )
         centers_per_iteration.append(executed)
 
@@ -141,7 +128,6 @@ def chang_li_packing(
         ledger,
         "phase2",
         cache,
-        backend,
     )
     centers_per_iteration.append(executed)
 
@@ -152,22 +138,19 @@ def chang_li_packing(
             ntilde=params.ntilde,
             seed=phase3_rng,
             within=remaining,
-            backend=backend,
         )
         deleted |= en.deleted
         ledger.merge(en.ledger, prefix="phase3-")
 
     # -- Final: per-component local solves (deleted variables are 0). --
     chosen: Set[int] = set()
-    components = graph.connected_components(
-        within=set(range(n)) - deleted, backend=backend
-    )
+    components = graph.connected_components(within=set(range(n)) - deleted)
     max_component_diameter = 0.0
     for component in components:
         local = solve_packing_exact(instance, subset=component, cache=cache)
         chosen |= set(local.chosen)
         max_component_diameter = max(
-            max_component_diameter, graph.weak_diameter(component, backend=backend)
+            max_component_diameter, graph.weak_diameter(component)
         )
     ledger.charge(
         "final-local-solve",
@@ -195,7 +178,6 @@ def solve_packing(
     seed: SeedLike = None,
     profile: str = "practical",
     cache: Optional[SolveCache] = None,
-    backend: str = "csr",
     **profile_kwargs,
 ) -> PackingResult:
     """Public entry point: profile construction + :func:`chang_li_packing`."""
@@ -206,7 +188,7 @@ def solve_packing(
         params = PackingParams.practical(eps, ntilde, **profile_kwargs)
     else:
         raise ValueError(f"unknown profile {profile!r}")
-    return chang_li_packing(instance, params, seed=seed, cache=cache, backend=backend)
+    return chang_li_packing(instance, params, seed=seed, cache=cache)
 
 
 def _prepare_clusters(
@@ -216,24 +198,19 @@ def _prepare_clusters(
     prep_rngs: Sequence,
     ledger: RoundLedger,
     cache: SolveCache,
-    backend: str = "python",
 ) -> List[_PrepCluster]:
     """Preparation step (Section 4.1.1): clusters and their estimates."""
     prep_ledgers = []
     raw_clusters: List[Set[int]] = []
     for rng in prep_rngs:
-        en = elkin_neiman_ldd(
-            graph, params.prep_lambda, ntilde=params.ntilde, seed=rng, backend=backend
-        )
+        en = elkin_neiman_ldd(graph, params.prep_lambda, ntilde=params.ntilde, seed=rng)
         raw_clusters.extend(en.clusters)
         prep_ledgers.append(en.ledger)
     ledger.merge_parallel(prep_ledgers, "prep-ldd")
     clusters: List[_PrepCluster] = []
     max_depth = 0
     for cluster in raw_clusters:
-        gathered = gather_ball(
-            graph, cluster, params.cluster_radius, backend=backend
-        )
+        gathered = gather_ball(graph, cluster, params.cluster_radius)
         neighborhood = gathered.ball
         max_depth = max(max_depth, gathered.depth_reached)
         w_self = solve_packing_exact(instance, subset=cluster, cache=cache).weight
@@ -262,22 +239,21 @@ def _apply_packing_carves(
     ledger: RoundLedger,
     label: str,
     cache: SolveCache,
-    backend: str = "python",
 ) -> int:
     """All sampled clusters carve against the same residual snapshot.
 
     Returns the number of carves actually executed (clusters whose
     seeds were already carved away are skipped and not counted —
-    keeps the E12 ablation's carve-center column accurate).  On the
-    CSR backend the shared snapshot is converted to a boolean mask
-    once and reused by every carve's BFS.
+    keeps the E12 ablation's carve-center column accurate).  The
+    shared snapshot is converted to a boolean mask once and reused by
+    every carve's BFS.
     """
     removed_now: Set[int] = set()
     deleted_now: Set[int] = set()
     max_depth = 0
     executed = 0
     snapshot = remaining
-    if backend == "csr" and center_ids:
+    if center_ids:
         snapshot = graph.csr().residual_mask(remaining)
     for idx in center_ids:
         seeds = set(clusters[idx].vertices) & remaining
@@ -285,7 +261,7 @@ def _apply_packing_carves(
             continue
         executed += 1
         outcome = grow_and_carve_packing(
-            instance, graph, seeds, interval, snapshot, cache=cache, backend=backend
+            instance, graph, seeds, interval, snapshot, cache=cache
         )
         removed_now |= outcome.removed
         deleted_now |= outcome.deleted

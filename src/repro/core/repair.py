@@ -176,7 +176,6 @@ def repair_decomposition(
     dirty_edges: Iterable[Edge],
     params: LddParams,
     seed=None,
-    backend: str = "csr",
     kernel_workers: Optional[int] = None,
     validate: bool = False,
 ) -> RepairResult:
@@ -248,13 +247,7 @@ def repair_decomposition(
         sub, mapping = graph.induced_subgraph(region)
         inverse = {i: v for v, i in mapping.items()}
     with _obs.span("repair.recarve"):
-        sub_dec = chang_li_ldd(
-            sub,
-            params,
-            seed=seed,
-            backend=backend,
-            kernel_workers=kernel_workers,
-        )
+        sub_dec = chang_li_ldd(sub, params, seed=seed, kernel_workers=kernel_workers)
 
     clusters = [set(decomposition.clusters[i]) for i in clean]
     clusters.extend(

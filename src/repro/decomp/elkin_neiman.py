@@ -13,7 +13,7 @@ failure Claim C.1 exhibits and Theorem 1.1 repairs.
 
 Two execution engines are provided:
 
-* :func:`elkin_neiman_ldd` — fast path over BFS floods;
+* :func:`elkin_neiman_ldd` — fast path over the CSR flood kernel;
 * :func:`elkin_neiman_message_ldd` — faithful synchronous message
   passing on :mod:`repro.local.engine`.
 
@@ -27,50 +27,14 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.decomp.shifts import (
-    ShiftRecord,
-    en_is_deleted,
-    rounds_for_flood,
-    sample_shifts,
-    shift_cap,
-    shifted_flood,
-)
+from repro.decomp.shifts import rounds_for_flood, sample_shifts, shift_cap
 from repro.decomp.types import Decomposition
-from repro.graphs.csr import check_backend
 from repro.graphs.graph import Graph
 from repro.local.engine import run_synchronous
 from repro.local.gather import RoundLedger
 from repro.local.node import Broadcast, MessageAlgorithm, NodeContext
 from repro.util.rng import SeedLike
 from repro.util.validation import check_positive, require
-
-
-def _decomposition_from_records(
-    vertices: Sequence[int],
-    records: List[List[ShiftRecord]],
-    ledger: RoundLedger,
-) -> Decomposition:
-    deleted: Set[int] = set()
-    cluster_members: Dict[int, Set[int]] = {}
-    for v in vertices:
-        recs = records[v]
-        if not recs:
-            # Unreachable under the algorithm (v hears itself) — treat
-            # as deleted defensively.
-            deleted.add(v)
-            continue
-        if en_is_deleted(recs):
-            deleted.add(v)
-        else:
-            cluster_members.setdefault(recs[0].source, set()).add(v)
-    centers = sorted(cluster_members)
-    clusters = [cluster_members[c] for c in centers]
-    return Decomposition(
-        clusters=clusters,
-        deleted=deleted,
-        centers=list(centers),
-        ledger=ledger,
-    )
 
 
 def elkin_neiman_ldd(
@@ -80,7 +44,6 @@ def elkin_neiman_ldd(
     seed: SeedLike = None,
     within: Optional[Set[int]] = None,
     shifts: Optional[Sequence[float]] = None,
-    backend: str = "python",
 ) -> Decomposition:
     """Run Lemma C.1 on ``graph`` (optionally on the residual ``within``).
 
@@ -88,20 +51,15 @@ def elkin_neiman_ldd(
     engine (equivalence testing); otherwise they are sampled here from
     per-vertex private streams spawned off ``seed``.
 
-    ``backend`` selects the flood engine: ``"csr"`` runs the vectorized
-    delta-propagation kernel
-    (:meth:`~repro.graphs.csr.CsrGraph.top2_shifted_flood`),
-    ``"python"`` the keep-2 heap flood of
-    :func:`~repro.decomp.shifts.shifted_flood`.  Both produce identical
-    records (property-tested), hence identical decompositions.  The
-    heap flood is the *default* here — E15 measures it ~2x faster for
-    the standalone tiny-λ whole-graph floods this function's direct
-    callers run — while :func:`~repro.core.ldd.chang_li_ldd` forwards
-    its own ``backend`` so a csr-backend LDD stays kernel-driven end
-    to end.
+    The flood runs on the vectorized delta-propagation kernel
+    (:meth:`~repro.graphs.csr.CsrGraph.top2_shifted_flood`), whose
+    top-2 records equal the keep-2 heap flood of
+    :func:`~repro.decomp.shifts.shifted_flood` (property-tested).  A
+    vertex is deleted when its runner-up is within 1 of its maximum
+    (:func:`~repro.decomp.shifts.en_is_deleted`) and otherwise joins
+    the argmax source's cluster.
     """
     check_positive("lam", lam)
-    check_backend(backend)
     ntilde = ntilde if ntilde is not None else max(graph.n, 2)
     require(ntilde >= graph.n, f"ntilde={ntilde} below n={graph.n}")
     if shifts is None:
@@ -113,34 +71,24 @@ def elkin_neiman_ldd(
     nominal = math.ceil(4.0 * math.log(ntilde) / lam)
     effective = rounds_for_flood([shifts[v] for v in vertices]) if vertices else 0
     ledger.charge("en-flood", nominal, effective)
-    if backend == "csr":
-        records = _records_from_csr(graph, list(shifts), vertices, within)
-    else:
-        records = shifted_flood(graph, list(shifts), keep=2, within=within)
-    return _decomposition_from_records(vertices, records, ledger)
-
-
-def _records_from_csr(
-    graph: Graph,
-    shifts: List[float],
-    vertices: Sequence[int],
-    within: Optional[Set[int]],
-) -> List[List[ShiftRecord]]:
-    """Top-2 records via the CSR kernel, in the shifted-flood layout."""
-    b1v, b1s, b1d, b2v, b2s, b2d = graph.csr().top2_shifted_flood(
-        shifts, within=within
+    b1v, b1s, _, b2v, b2s, _ = graph.csr().top2_shifted_flood(
+        list(shifts), within=within
     )
-    records: List[List[ShiftRecord]] = [[] for _ in range(graph.n)]
+    is_deleted = (b2s >= 0) & (b2v >= b1v - 1.0)
+    deleted: Set[int] = set()
+    cluster_members: Dict[int, Set[int]] = {}
     for v in vertices:
-        if b1s[v] >= 0:
-            records[v].append(
-                ShiftRecord(value=float(b1v[v]), source=int(b1s[v]), dist=int(b1d[v]))
-            )
-        if b2s[v] >= 0:
-            records[v].append(
-                ShiftRecord(value=float(b2v[v]), source=int(b2s[v]), dist=int(b2d[v]))
-            )
-    return records
+        if is_deleted[v]:
+            deleted.add(v)
+        else:
+            cluster_members.setdefault(int(b1s[v]), set()).add(v)
+    centers = sorted(cluster_members)
+    return Decomposition(
+        clusters=[cluster_members[c] for c in centers],
+        deleted=deleted,
+        centers=list(centers),
+        ledger=ledger,
+    )
 
 
 class _EnNode(MessageAlgorithm):

@@ -35,14 +35,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
+from repro.artifacts.cache import SolveCache
 from repro.decomp.linial_saks import linial_saks_decomposition
 from repro.decomp.network_decomposition import NetworkDecomposition
 from repro.graphs.graph import Graph
-from repro.ilp.exact import (
-    SolveCache,
-    solve_covering_exact,
-    solve_packing_exact,
-)
+from repro.ilp.exact import solve_covering_exact, solve_packing_exact
 from repro.ilp.instance import CoveringInstance, PackingInstance
 from repro.local.gather import RoundLedger, gather_ball
 from repro.util.rng import SeedLike
@@ -73,16 +70,13 @@ def gkm_solve_packing(
     seed: SeedLike = None,
     scale: float = 1.0,
     cache: Optional[SolveCache] = None,
-    backend: str = "csr",
     kernel_workers: Optional[int] = None,
 ) -> GkmResult:
     """(1−ε)-approximate packing via network decomposition (GKM17).
 
-    ``backend`` selects how the ``G^{2k}`` power graph is built:
-    ``"csr"`` (default) batches reachability for all vertices via the
-    numpy kernel, ``"python"`` runs the per-vertex reference BFS;
-    ``kernel_workers`` shards that kernel's source chunks over worker
-    processes (csr only, identical output at any worker count).
+    The ``G^{2k}`` power graph comes from one batched reachability
+    sweep; ``kernel_workers`` shards that kernel's source chunks over
+    worker processes (identical output at any worker count).
     """
     check_fraction("eps", eps)
     graph = instance.hypergraph().primal_graph()
@@ -90,9 +84,7 @@ def gkm_solve_packing(
     ntilde = ntilde if ntilde is not None else max(n, 2)
     k = _carving_radius(eps, ntilde, scale)
     ledger = RoundLedger()
-    nd = _power_graph_decomposition(
-        graph, k, ntilde, seed, ledger, backend, kernel_workers
-    )
+    nd = _power_graph_decomposition(graph, k, ntilde, seed, ledger, kernel_workers)
     remaining: Set[int] = set(range(n))
     chosen: Set[int] = set()
     carves = 0
@@ -169,7 +161,6 @@ def gkm_solve_covering(
     seed: SeedLike = None,
     scale: float = 1.0,
     cache: Optional[SolveCache] = None,
-    backend: str = "csr",
     kernel_workers: Optional[int] = None,
 ) -> GkmResult:
     """(1+ε)-style covering via network decomposition (ND-based analog).
@@ -190,9 +181,7 @@ def gkm_solve_covering(
     # Window of ~2/eps layer pairs so the fixed boundary costs O(eps).
     k = max(4, math.ceil(2.0 * scale / eps))
     ledger = RoundLedger()
-    nd = _power_graph_decomposition(
-        graph, k, ntilde, seed, ledger, backend, kernel_workers
-    )
+    nd = _power_graph_decomposition(graph, k, ntilde, seed, ledger, kernel_workers)
     remaining: Set[int] = set(range(n))
     fixed_ones: Set[int] = set()
     zones: List[Set[int]] = []
@@ -341,18 +330,17 @@ def _power_graph_decomposition(
     ntilde: int,
     seed: SeedLike,
     ledger: RoundLedger,
-    backend: str = "csr",
     kernel_workers: Optional[int] = None,
 ) -> NetworkDecomposition:
     """LS decomposition of ``G^{2k}``; charges ND rounds at base-graph cost.
 
-    The ``G^{2k}`` construction is the expensive part at scale; the CSR
-    backend builds it with one batched reachability sweep, optionally
-    sharded over ``kernel_workers`` processes.
+    The ``G^{2k}`` construction is the expensive part at scale; it is
+    one batched reachability sweep, optionally sharded over
+    ``kernel_workers`` processes.
     """
     power_radius = 2 * k
     power = (
-        graph.power(power_radius, backend=backend, kernel_workers=kernel_workers)
+        graph.power(power_radius, kernel_workers=kernel_workers)
         if graph.n
         else graph
     )

@@ -15,12 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.decomp.shifts import (
-    rounds_for_flood,
-    sample_shifts,
-    shifted_flood,
-)
-from repro.graphs.csr import check_backend
+from repro.decomp.shifts import rounds_for_flood, sample_shifts
 from repro.graphs.graph import Graph
 from repro.local.gather import RoundLedger
 from repro.util.rng import SeedLike
@@ -51,23 +46,18 @@ def mpx_decomposition(
     ntilde: Optional[int] = None,
     seed: SeedLike = None,
     shifts: Optional[Sequence[float]] = None,
-    backend: str = "python",
 ) -> MpxDecomposition:
     """Run the MPX random-shift clustering with parameter ``lam``.
 
     Expected cut fraction is O(``lam``); cluster (strong) diameter is
     O(log ñ / ``lam``) with high probability.
 
-    ``backend`` selects the flood engine: ``"python"`` (default — the
-    benches probe the tiny-λ regime where the keep-1 heap flood's
-    pruning wins, as for Elkin–Neiman) runs
-    :func:`~repro.decomp.shifts.shifted_flood`; ``"csr"`` the
-    vectorized delta-propagation kernel.  The winning ``(value,
-    source)`` records are identical (property-tested), hence so is the
-    clustering.
+    The flood runs on the vectorized delta-propagation kernel
+    (:meth:`~repro.graphs.csr.CsrGraph.top2_shifted_flood`); its
+    winning ``(value, source)`` records equal the keep-1 heap flood of
+    :func:`~repro.decomp.shifts.shifted_flood` (property-tested).
     """
     check_positive("lam", lam)
-    check_backend(backend)
     ntilde = ntilde if ntilde is not None else max(graph.n, 2)
     require(ntilde >= graph.n, f"ntilde={ntilde} below n={graph.n}")
     if shifts is None:
@@ -76,21 +66,12 @@ def mpx_decomposition(
         require(len(shifts) == graph.n, "need one shift per vertex")
     owner: Dict[int, int] = {}
     members: Dict[int, Set[int]] = {}
-    if backend == "csr":
-        _, b1s, _, _, _, _ = graph.csr().top2_shifted_flood(list(shifts))
-        for v in range(graph.n):
-            center = int(b1s[v])
-            require(center >= 0, "every vertex hears at least itself")
-            owner[v] = center
-            members.setdefault(center, set()).add(v)
-    else:
-        records = shifted_flood(graph, list(shifts), keep=1)
-        for v in range(graph.n):
-            recs = records[v]
-            require(bool(recs), "every vertex hears at least itself")
-            center = recs[0].source
-            owner[v] = center
-            members.setdefault(center, set()).add(v)
+    _, b1s, _, _, _, _ = graph.csr().top2_shifted_flood(list(shifts))
+    for v in range(graph.n):
+        center = int(b1s[v])
+        require(center >= 0, "every vertex hears at least itself")
+        owner[v] = center
+        members.setdefault(center, set()).add(v)
     cut_edges = [
         (u, v) for u, v in graph.edges() if owner[u] != owner[v]
     ]

@@ -23,6 +23,12 @@ implementation's range ``⌊T_u⌋ + 1`` finite.  Ties between equal values
 are broken toward the larger source id, identically in the fast and
 message-passing engines (ties have probability zero under continuous
 shifts; the rule only pins down degenerate inputs).
+
+:func:`shifted_flood` is the keep-all heap flood the spanner runs in
+production; EN, MPX and the sparse cover run on the CSR kernel
+(:meth:`~repro.graphs.csr.CsrGraph.top2_shifted_flood` / batched
+distances), and the equivalence tests use this flood, with
+:func:`en_is_deleted` and :func:`within_one_sources`, as their oracle.
 """
 
 from __future__ import annotations
@@ -134,12 +140,6 @@ def shifted_flood(
             if (u, source) not in seen:
                 heapq.heappush(heap, (-next_value, -source, u, dist + 1))
     return records
-
-
-def argmax_record(records: List[ShiftRecord]) -> ShiftRecord:
-    """The winning record (records are produced in decreasing key order)."""
-    require(bool(records), "vertex heard no sources (it is always its own)")
-    return records[0]
 
 
 def within_one_sources(records: List[ShiftRecord]) -> List[ShiftRecord]:

@@ -19,23 +19,18 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.decomp.shifts import (
-    rounds_for_flood,
-    sample_shifts,
-    shifted_flood,
-    within_one_sources,
-)
+from repro.artifacts.cache import SolveCache
+from repro.decomp.shifts import rounds_for_flood, sample_shifts
 from repro.decomp.types import SparseCover
-from repro.graphs.csr import check_backend
 from repro.graphs.hypergraph import Hypergraph
-from repro.ilp.exact import SolveCache, solve_covering_exact
+from repro.ilp.exact import solve_covering_exact
 from repro.ilp.instance import CoveringInstance
 from repro.local.gather import RoundLedger
 from repro.util.rng import SeedLike
 from repro.util.validation import check_positive, require
 
 
-def _within_one_members_csr(
+def _within_one_members(
     graph, shifts: Sequence[float], vertices, within: Optional[Set[int]]
 ) -> Dict[int, Set[int]]:
     """The Lemma C.2 membership map via batched CSR distances.
@@ -74,7 +69,6 @@ def sparse_cover(
     seed: SeedLike = None,
     within: Optional[Set[int]] = None,
     shifts: Optional[Sequence[float]] = None,
-    backend: str = "python",
 ) -> SparseCover:
     """Compute a Lemma C.2 sparse cover of ``hypergraph``.
 
@@ -82,14 +76,12 @@ def sparse_cover(
     model).  When ``within`` restricts to a residual vertex set, the
     coverage guarantee applies to hyperedges fully inside it.
 
-    ``backend="csr"`` derives the within-1 membership from batched CSR
-    distance rows instead of the keep-all heap flood; the clusters are
-    identical (property-tested).  ``"python"`` stays the default: the
-    flood's keep-all record lists are the reference semantics and the
-    covering instances this feeds are far below kernel scale.
+    The within-1 membership comes from batched CSR distance rows; the
+    clusters equal the keep-all heap flood's
+    (:func:`~repro.decomp.shifts.shifted_flood` with
+    :func:`~repro.decomp.shifts.within_one_sources`, property-tested).
     """
     check_positive("lam", lam)
-    check_backend(backend)
     graph = hypergraph.primal_graph()
     n = graph.n
     ntilde = ntilde if ntilde is not None else max(n, 2)
@@ -99,14 +91,7 @@ def sparse_cover(
     else:
         require(len(shifts) == n, "need one shift per vertex")
     vertices = sorted(within) if within is not None else range(n)
-    if backend == "csr":
-        members = _within_one_members_csr(graph, list(shifts), vertices, within)
-    else:
-        records = shifted_flood(graph, list(shifts), keep=None, within=within)
-        members = {}
-        for v in vertices:
-            for rec in within_one_sources(records[v]):
-                members.setdefault(rec.source, set()).add(v)
+    members = _within_one_members(graph, list(shifts), vertices, within)
     centers = sorted(members)
     ledger = RoundLedger()
     nominal = math.ceil(4.0 * math.log(ntilde) / lam)
@@ -149,7 +134,6 @@ def solve_covering_by_sparse_cover(
     edge_indices: Optional[Sequence[int]] = None,
     fixed_ones: Set[int] = frozenset(),
     cache: Optional[SolveCache] = None,
-    backend: str = "python",
 ) -> Tuple[Set[int], SparseCover]:
     """Lemma C.3: cover the constraints, solve locally, take the OR.
 
@@ -163,8 +147,6 @@ def solve_covering_by_sparse_cover(
     fixed_ones:
         Variables already committed to one; their contribution reduces
         the local bounds and they are excluded from the returned set.
-    backend:
-        Forwarded to :func:`sparse_cover`.
 
     Returns the selected variable set (excluding ``fixed_ones``) and
     the sparse cover used.
@@ -174,9 +156,7 @@ def solve_covering_by_sparse_cover(
         within_set = set(range(instance.n))
     else:
         within_set = set(within)
-    cover = sparse_cover(
-        hypergraph, lam, ntilde=ntilde, seed=seed, within=within_set, backend=backend
-    )
+    cover = sparse_cover(hypergraph, lam, ntilde=ntilde, seed=seed, within=within_set)
     if edge_indices is None:
         edge_indices = [
             j

@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.devtools.lint",
         description=(
             "AST-based invariant checks: determinism (RPL0xx), shared-"
-            "memory lifecycle (RPL1xx), backend parity (RPL2xx), ordered "
+            "memory lifecycle (RPL1xx), one kernel path (RPL2xx), ordered "
             "iteration (RPL3xx).  See src/repro/devtools/README.md."
         ),
     )

@@ -3,7 +3,7 @@
 The engine is deliberately small: it parses each file once, records a
 parent map and the inline suppressions, runs every registered per-file
 rule, then gives cross-module rules one ``finalize`` pass over the
-whole file set (that is how backend-parity test coverage is checked).
+whole file set (that is how reference-oracle test coverage is checked).
 
 Rules are registered by class via :func:`register`; a fresh instance is
 created per run so cross-module rules can accumulate state without

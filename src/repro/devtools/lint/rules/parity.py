@@ -1,29 +1,26 @@
-"""RPL201/RPL202: backend-parity invariants.
+"""RPL201/RPL202: one production kernel path, one reference oracle.
 
-The ``backend=`` convention (see ``src/repro/exp/README.md``) promises
-that every kernel accepting the parameter really has two arms — the
-batched ``"csr"`` kernels and the property-tested ``"python"``
-reference — and that the pair is pinned together by a test.  RPL201 is
-the per-function check (the parameter is dispatched or forwarded, and
-only against known arms); RPL202 is the cross-module check (every
-*public* function exposing ``backend=`` is exercised by name somewhere
-under ``tests/``, where the bit-identity suites live).
+Every BFS-shaped primitive runs on the CSR kernels of
+:mod:`repro.graphs.csr`; the pure-Python versions survive only as test
+oracles in :mod:`repro.graphs.reference`.  RPL201 keeps it that way per
+function: no library function may take a ``backend`` parameter, so a
+second production arm cannot creep back in behind a knob.  RPL202 is
+the cross-module check on the oracles: every public function of
+``graphs/reference.py`` is named somewhere under ``tests/``, where the
+equivalence suites pin each kernel to its oracle — an oracle no test
+names is dead code.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Iterator, Sequence
 
 from repro.devtools.lint.engine import FileContext, Rule, Violation, register
 
-#: The dispatch arms of the ``backend=`` convention.
-KNOWN_BACKENDS = frozenset({"csr", "python"})
-
-#: Callees that consume a positional ``backend`` argument for
-#: validation rather than execution — not a dispatch on their own.
-_VALIDATORS = frozenset({"check_backend", "require"})
+#: The module holding the pure-Python oracles, as path parts.
+REFERENCE_MODULE = ("repro", "graphs", "reference.py")
 
 
 def _functions_with_backend(tree: ast.Module):
@@ -35,81 +32,39 @@ def _functions_with_backend(tree: ast.Module):
                 yield node
 
 
-def _dispatch_evidence(func: ast.AST) -> Tuple[bool, bool, Set[str]]:
-    """(compared, forwarded, literal_arms) for a backend parameter."""
-    compared = False
-    forwarded = False
-    literals: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Compare):
-            sides = [node.left, *node.comparators]
-            if any(isinstance(s, ast.Name) and s.id == "backend" for s in sides):
-                compared = True
-                for side in sides:
-                    if isinstance(side, ast.Constant) and isinstance(side.value, str):
-                        literals.add(side.value)
-        elif isinstance(node, ast.Call):
-            for kw in node.keywords:
-                if (
-                    kw.arg == "backend"
-                    and isinstance(kw.value, ast.Name)
-                    and kw.value.id == "backend"
-                ):
-                    forwarded = True
-            callee = None
-            if isinstance(node.func, ast.Name):
-                callee = node.func.id
-            elif isinstance(node.func, ast.Attribute):
-                callee = node.func.attr
-            if callee not in _VALIDATORS:
-                if any(
-                    isinstance(a, ast.Name) and a.id == "backend"
-                    for a in node.args
-                ):
-                    forwarded = True
-    return compared, forwarded, literals
+def _is_reference_module(ctx: FileContext) -> bool:
+    return ctx.parts[-len(REFERENCE_MODULE) :] == REFERENCE_MODULE
 
 
 @register
-class BackendDispatchRule(Rule):
+class NoBackendKnobRule(Rule):
     code = "RPL201"
-    name = "backend-dispatch"
+    name = "no-backend-knob"
     summary = (
-        "a backend= parameter must be dispatched (compared against its "
-        "arms) or forwarded, never silently ignored"
+        "library functions take no backend= parameter: the CSR kernels are "
+        "the one production path, pure Python lives in graphs/reference.py"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if not ctx.is_library:
             return
         for func in _functions_with_backend(ctx.tree):
-            compared, forwarded, literals = _dispatch_evidence(func)
-            unknown = literals - KNOWN_BACKENDS
-            if unknown:
-                yield self.violation(
-                    ctx,
-                    func,
-                    f"{func.name}: backend compared against unknown arm(s) "
-                    f"{sorted(unknown)}; the convention's arms are "
-                    f"{sorted(KNOWN_BACKENDS)}",
-                )
-            if not compared and not forwarded:
-                yield self.violation(
-                    ctx,
-                    func,
-                    f"{func.name} accepts backend= but neither dispatches on "
-                    "it nor forwards it — the parameter is silently ignored "
-                    "and the csr/python parity contract cannot hold",
-                )
+            yield self.violation(
+                ctx,
+                func,
+                f"{func.name} takes a backend= parameter; run the CSR kernel "
+                "and keep any pure-Python version as a test oracle in "
+                "repro.graphs.reference",
+            )
 
 
 @register
-class BackendTestCoverageRule(Rule):
+class ReferenceOracleCoverageRule(Rule):
     code = "RPL202"
-    name = "backend-test-coverage"
+    name = "reference-oracle-coverage"
     summary = (
-        "every public function exposing backend= must be exercised by "
-        "name in a test under tests/ (bit-identity/property coverage)"
+        "every public function in graphs/reference.py must be named by a "
+        "test under tests/ (an oracle no test uses is dead code)"
     )
 
     def finalize(self, contexts: Sequence[FileContext]) -> Iterator[Violation]:
@@ -117,23 +72,19 @@ class BackendTestCoverageRule(Rule):
         if not tests:
             return  # partial run (single file / no tests collected)
         corpus = "\n".join(ctx.source for ctx in tests)
-        seen: Dict[str, bool] = {}
-        public: List[Tuple[FileContext, ast.AST, str]] = []
         for ctx in contexts:
-            if not ctx.is_library:
+            if not _is_reference_module(ctx):
                 continue
-            for func in _functions_with_backend(ctx.tree):
+            for func in ctx.tree.body:
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
                 if func.name.startswith("_"):
                     continue
-                public.append((ctx, func, func.name))
-        for ctx, func, name in public:
-            if name not in seen:
-                seen[name] = re.search(rf"\b{re.escape(name)}\b", corpus) is not None
-            if not seen[name]:
-                yield self.violation(
-                    ctx,
-                    func,
-                    f"public backend= kernel {name!r} is not referenced by "
-                    "any test under tests/; add it to a csr-vs-python "
-                    "bit-identity or property suite",
-                )
+                if re.search(rf"\b{re.escape(func.name)}\b", corpus) is None:
+                    yield self.violation(
+                        ctx,
+                        func,
+                        f"reference oracle {func.name!r} is not named by any "
+                        "test under tests/; pin it to its kernel in an "
+                        "equivalence test or delete it",
+                    )

@@ -39,7 +39,7 @@ from repro.exp.store import (
     jsonify,
     row_key,
 )
-from repro.graphs.parallel import KERNEL_WORKERS_ENV
+from repro.transport import KERNEL_WORKERS_ENV
 
 #: A picklable trial work item: (scenario, params, trial, root_seed,
 #: timeout, code_version[, func_module[, kernel_workers]]).  The seed

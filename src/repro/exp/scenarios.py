@@ -824,8 +824,9 @@ def _mpc_comm_trial(params: Dict[str, Any], ctx: TrialContext) -> Dict[str, Any]
 
 @scenario(
     name="kernel-speed",
-    description="E15 smoke: CSR vs pure-Python LDD hot-path timings on the "
-    "40x40 grid (wall-clock metrics; inherently machine-dependent)",
+    description="E15 smoke: CSR kernels vs their pure-Python oracles on the "
+    "40x40 grid, plus the LDD end to end (wall-clock metrics; inherently "
+    "machine-dependent)",
     grid={"grid": ("40x40",), "eps": (0.3,)},
     trials=1,
     tags=("timing",),
@@ -833,8 +834,7 @@ def _mpc_comm_trial(params: Dict[str, Any], ctx: TrialContext) -> Dict[str, Any]
 def _kernel_speed_trial(params: Dict[str, Any], ctx: TrialContext) -> Dict[str, Any]:
     from repro.core import low_diameter_decomposition
     from repro.decomp.shifts import sample_shifts, shifted_flood
-    from repro.graphs import grid_graph
-    from repro.local.gather import gather_ball
+    from repro.graphs import grid_graph, reference
 
     rows, cols = (int(x) for x in params["grid"].split("x"))
     eps = params["eps"]
@@ -848,26 +848,24 @@ def _kernel_speed_trial(params: Dict[str, Any], ctx: TrialContext) -> Dict[str, 
         return best
 
     timings: Dict[str, float] = {}
-    for backend in ("python", "csr"):
-        timings[f"ldd_{backend}_s"] = best_of(
-            2 if backend == "python" else 3,
-            lambda backend=backend: low_diameter_decomposition(
-                grid_graph(rows, cols), eps=eps, seed=0, backend=backend
-            ),
-        )
+    timings["ldd_csr_s"] = best_of(
+        3,
+        lambda: low_diameter_decomposition(grid_graph(rows, cols), eps=eps, seed=0),
+    )
     graph = grid_graph(rows, cols)
     radius = 4 * 4 * 25
 
+    ref_sizes: List[float] = []
+
     def estimate_python():
-        for v in range(graph.n):
-            gather_ball(graph, [v], radius)
+        ref_sizes[:] = reference.all_ball_sizes(graph, radius)[0]
 
     timings["estimate_nv_python_s"] = best_of(1, estimate_python)
     timings["estimate_nv_csr_s"] = best_of(
         3, lambda: graph.csr().all_ball_sizes(radius)
     )
-    timings["power4_python_s"] = best_of(2, lambda: graph.power(4))
-    timings["power4_csr_s"] = best_of(3, lambda: graph.power(4, backend="csr"))
+    timings["power4_python_s"] = best_of(2, lambda: reference.power(graph, 4))
+    timings["power4_csr_s"] = best_of(3, lambda: graph.power(4))
     shifts = sample_shifts(graph.n, eps / 10.0, graph.n, seed=1)
     timings["en_flood_python_s"] = best_of(
         3, lambda: shifted_flood(graph, shifts, keep=2)
@@ -875,19 +873,11 @@ def _kernel_speed_trial(params: Dict[str, Any], ctx: TrialContext) -> Dict[str, 
     timings["en_flood_csr_s"] = best_of(
         3, lambda: graph.csr().top2_shifted_flood(shifts)
     )
-
-    a = low_diameter_decomposition(
-        grid_graph(rows, cols), eps=eps, seed=0, backend="python"
-    )
-    b = low_diameter_decomposition(
-        grid_graph(rows, cols), eps=eps, seed=0, backend="csr"
-    )
     return {
         **timings,
-        "ldd_speedup": timings["ldd_python_s"] / max(timings["ldd_csr_s"], 1e-12),
         "estimate_nv_speedup": timings["estimate_nv_python_s"]
         / max(timings["estimate_nv_csr_s"], 1e-12),
-        "backends_identical": a.deleted == b.deleted and a.clusters == b.clusters,
+        "nv_identical": graph.csr().all_ball_sizes(radius)[0].tolist() == ref_sizes,
     }
 
 
@@ -905,7 +895,7 @@ def _kernel_speed_trial(params: Dict[str, Any], ctx: TrialContext) -> Dict[str, 
 def _kernel_parallel_trial(params: Dict[str, Any], ctx: TrialContext) -> Dict[str, Any]:
     import os
 
-    from repro.graphs.parallel import resolve_kernel_workers
+    from repro.transport import resolve_kernel_workers
 
     (graph_seq,) = ctx.spawn(1)
     graph = build_family(params["family"], np.random.default_rng(graph_seq))

@@ -7,7 +7,7 @@ Appendix B lower bounds, and the reduction transforms.
 """
 
 from repro.graphs.graph import Graph
-from repro.graphs.csr import BACKENDS, CsrGraph, check_backend
+from repro.graphs.csr import CsrGraph
 from repro.graphs.hypergraph import Hypergraph
 from repro.graphs.generators import (
     balanced_tree,
@@ -68,9 +68,7 @@ from repro.graphs.metrics import (
 
 __all__ = [
     "Graph",
-    "BACKENDS",
     "CsrGraph",
-    "check_backend",
     "Hypergraph",
     "balanced_tree",
     "caterpillar",

@@ -22,12 +22,14 @@ amortize the traversal across all sources simultaneously:
   core (top-2 records of ``m_u(v) = T_u − dist(u, v)``) as a fixpoint
   iteration over array states.
 
-Every kernel is observationally equivalent to its pure-Python
-counterpart (property-tested in ``tests/test_graphs_csr.py``); callers
-select between them via a ``backend=`` parameter ("python" is the
-reference implementation, "csr" the fast path).  Instances are cached
-on the owning :class:`Graph` via :meth:`Graph.csr`, so repeated kernel
-calls pay the CSR construction once.
+These kernels are the only production implementation of the graph
+primitives: :class:`~repro.graphs.graph.Graph`'s metric methods, the
+radius gather of :func:`repro.local.gather.gather_ball` and every
+decomposition driver run on them.  Each kernel is observationally
+equivalent to a pure-Python oracle in :mod:`repro.graphs.reference`
+(property-tested in ``tests/test_graphs_csr.py``).  Instances are
+cached on the owning :class:`Graph` via :meth:`Graph.csr`, so repeated
+kernel calls pay the CSR construction once.
 """
 
 from __future__ import annotations
@@ -39,11 +41,8 @@ import numpy as np
 
 import repro.obs as _obs
 from repro.graphs import parallel as _parallel
+from repro.transport import resolve_kernel_workers
 from repro.util.validation import require
-
-#: Recognized values for the ``backend=`` parameter used across the
-#: library (LDD, carving, gathers, GKM, Elkin–Neiman).
-BACKENDS = ("python", "csr")
 
 #: Tokens in the shifted flood stop propagating below this value
 #: (mirrors ``repro.decomp.shifts.PROPAGATION_CUTOFF``; duplicated here
@@ -80,14 +79,6 @@ _SPARSE_COST_FACTOR = 256.0
 _BYTE_BITS = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1
 ).astype(np.float64)
-
-
-def check_backend(backend: str) -> None:
-    """Validate a ``backend=`` argument."""
-    require(
-        backend in BACKENDS,
-        f"unknown backend {backend!r}; expected one of {BACKENDS}",
-    )
 
 
 def _column_weights(packed: np.ndarray, weights: Optional[np.ndarray]) -> np.ndarray:
@@ -395,7 +386,7 @@ class CsrGraph:
         ``unpack`` round-trips regardless of endianness (the bitwise
         kernels treat bytes independently).  Sources excluded by
         ``mask`` are left unseeded (empty balls), matching the
-        pure-Python gather on a residual set.
+        reference gather on a residual set.
         """
         words = (count + 63) // 64
         visited = np.zeros((self.n, words), dtype=np.uint64)
@@ -493,7 +484,7 @@ class CsrGraph:
         chunk boundaries and per-chunk computation are exactly the
         serial loop's, and results merge in chunk order, so sizes and
         depths are bit-identical at any worker count.  ``None`` resolves
-        through :func:`repro.graphs.parallel.resolve_kernel_workers`
+        through :func:`repro.transport.resolve_kernel_workers`
         (``REPRO_KERNEL_WORKERS``, default serial).
         """
         require(radius is None or radius >= 0, "radius must be >= 0")
@@ -513,7 +504,7 @@ class CsrGraph:
         depths = np.zeros(len(src), dtype=np.int64)
         chunk = self._chunk_width(chunk_size)
         chunks = [src[lo : lo + chunk] for lo in range(0, len(src), chunk)]
-        workers = _parallel.resolve_kernel_workers(kernel_workers)
+        workers = resolve_kernel_workers(kernel_workers)
         with _obs.span("csr.all_ball_sizes"):
             if workers > 1 and len(chunks) > 1:
                 results = _parallel.run_chunk_tasks(
@@ -696,7 +687,7 @@ class CsrGraph:
             )
         dist = np.full((len(src), self.n), -1, dtype=np.int64)
         chunk = self._chunk_width(chunk_size)
-        workers = _parallel.resolve_kernel_workers(kernel_workers)
+        workers = resolve_kernel_workers(kernel_workers)
         if workers > 1 and chunk_size is None and src.size:
             chunk = max(1, min(chunk, -(-len(src) // workers)))
         chunks = [
@@ -769,7 +760,7 @@ class CsrGraph:
         us: List[np.ndarray] = []
         vs: List[np.ndarray] = []
         chunk = self._chunk_width(chunk_size)
-        workers = _parallel.resolve_kernel_workers(kernel_workers)
+        workers = resolve_kernel_workers(kernel_workers)
         if workers > 1 and chunk_size is None and self.n:
             chunk = max(1, min(chunk, -(-self.n // workers)))
         src = np.arange(self.n, dtype=np.int64)
@@ -817,7 +808,8 @@ class CsrGraph:
     ) -> List[Set[int]]:
         """Connected components (of the ``within``-induced subgraph).
 
-        Discovery order matches the pure-Python implementation: each
+        Discovery order matches the pure-Python oracle
+        (:func:`repro.graphs.reference.connected_components`): each
         component is found from its smallest not-yet-seen vertex.  The
         per-component BFS marks ``seen`` directly and allocates only
         frontier-sized arrays, so total work is ``O(n + m)`` even when
@@ -875,7 +867,7 @@ class CsrGraph:
         """``max_{u,v in subset} dist_G(u, v)`` in the full graph."""
         vs = sorted(set(subset))
         if len(vs) <= 1:
-            return 0
+            return 0.0
         dist = self.distances_from(vs, kernel_workers=kernel_workers)[:, vs]
         if (dist < 0).any():
             return float("inf")
@@ -889,9 +881,10 @@ class CsrGraph:
         """Per-vertex eccentricities as a float64 array (``inf`` when the
         vertex cannot reach every other vertex).
 
-        Batched counterpart of looping :meth:`Graph.eccentricity` over
-        all vertices; sources are processed in packed chunks so the
-        distance matrix never materializes beyond one chunk.
+        Batched counterpart of looping
+        :func:`repro.graphs.reference.eccentricity` over all vertices;
+        sources are processed in packed chunks so the distance matrix
+        never materializes beyond one chunk.
         ``kernel_workers`` shards the chunks over worker processes; the
         per-chunk reduction (exact integer maxima) happens worker-side,
         so only (chunk,)-sized results travel back and the array is
@@ -899,7 +892,7 @@ class CsrGraph:
         """
         ecc = np.zeros(self.n, dtype=np.float64)
         chunk = self._chunk_width(chunk_size)
-        workers = _parallel.resolve_kernel_workers(kernel_workers)
+        workers = resolve_kernel_workers(kernel_workers)
         if workers > 1 and chunk_size is None and self.n:
             chunk = max(1, min(chunk, -(-self.n // workers)))
         ranges = [
@@ -932,9 +925,10 @@ class CsrGraph:
     ) -> float:
         """Shortest cycle length (``inf`` for forests).
 
-        Batched counterpart of :meth:`Graph.girth` with the same return
-        value for every input, ``upper_bound`` included.  Per root (in
-        ascending order, distance vectors computed in packed chunks) a
+        Batched counterpart of :func:`repro.graphs.reference.girth` with
+        the same return value for every input, ``upper_bound`` included.
+        Per root (in ascending order, distance vectors computed in
+        packed chunks) a
         shortest cycle through the root is witnessed either by an edge
         inside one BFS level (odd, ``2d + 1``) or by a vertex with two
         or more neighbors in the previous level (even, ``2d``) — the

@@ -5,7 +5,10 @@ all operate on this class.  Vertices are integers ``0..n-1``.  The class
 is intentionally small and predictable: adjacency lists of sorted
 tuples, BFS-based distance primitives, induced subgraphs with explicit
 relabelling maps, and power graphs (needed by the GKM17 baseline and the
-Section 1.6 blackbox construction).
+Section 1.6 blackbox construction).  Whole-graph metrics (diameters,
+components, powers, girth) run on the cached CSR kernels of
+:mod:`repro.graphs.csr`; their pure-Python oracles live in
+:mod:`repro.graphs.reference`.
 
 ``networkx`` interoperability is provided for cross-validation in tests
 but no algorithm in the library depends on it.
@@ -170,97 +173,36 @@ class Graph:
         dist = self.bfs_distances([u])
         return dist.get(v, float("inf"))
 
-    def eccentricity(self, v: int, backend: str = "python") -> float:
+    def eccentricity(self, v: int) -> float:
         """Maximum distance from ``v`` to any reachable vertex; ``inf`` when
-        the graph is disconnected (taken over all vertices).
-
-        ``backend="csr"`` runs the single-source sweep on the batched
-        numpy kernel; the result is identical.
-        """
-        if backend != "python":
-            from repro.graphs.csr import check_backend
-
-            check_backend(backend)
-            dist = self.csr().bfs_distances([v])
-            if bool((dist < 0).any()):
-                return float("inf")
-            return float(dist.max()) if self.n else 0.0
-        dist = self.bfs_distances([v])
-        if len(dist) < self.n:
+        the graph is disconnected (taken over all vertices)."""
+        dist = self.csr().bfs_distances([v])
+        if bool((dist < 0).any()):
             return float("inf")
-        return max(dist.values(), default=0)
+        return float(dist.max())
 
-    def diameter(
-        self, backend: str = "python", kernel_workers: Optional[int] = None
-    ) -> float:
+    def diameter(self, kernel_workers: Optional[int] = None) -> float:
         """Graph diameter (``inf`` when disconnected, 0 when n <= 1).
 
-        ``backend="csr"`` computes all eccentricities in packed chunks
-        (:meth:`~repro.graphs.csr.CsrGraph.eccentricities`) instead of
-        ``n`` single-source Python BFS passes; ``kernel_workers``
-        shards those chunks over worker processes (csr only).
+        All eccentricities come from packed chunks
+        (:meth:`~repro.graphs.csr.CsrGraph.eccentricities`);
+        ``kernel_workers`` shards those chunks over worker processes.
         """
         if self.n == 0:
-            return 0
-        if backend != "python":
-            from repro.graphs.csr import check_backend
-
-            check_backend(backend)
-            ecc = self.csr().eccentricities(kernel_workers=kernel_workers)
-            value = float(ecc.max())
-            return value
-        best = 0.0
-        for v in range(self.n):
-            ecc = self.eccentricity(v)
-            if ecc == float("inf"):
-                return float("inf")
-            best = max(best, ecc)
-        return best
+            return 0.0
+        return float(self.csr().eccentricities(kernel_workers=kernel_workers).max())
 
     # ------------------------------------------------------------------
     # Components and subgraphs
     # ------------------------------------------------------------------
     def connected_components(
-        self, within: Optional[Iterable[int]] = None, backend: str = "python"
+        self, within: Optional[Iterable[int]] = None
     ) -> List[Set[int]]:
         """Connected components, optionally of the subgraph induced by
-        ``within`` (components computed using only edges inside it).
-
-        ``backend="csr"`` delegates to the batched numpy kernel
-        (:meth:`~repro.graphs.csr.CsrGraph.connected_components`);
-        outputs are identical, including discovery order.
-        """
-        if backend != "python":
-            from repro.graphs.csr import check_backend
-
-            check_backend(backend)
-            return self.csr().connected_components(within=within)
-        if within is None:
-            allowed: Optional[Set[int]] = None
-            universe: Iterable[int] = range(self.n)
-        else:
-            allowed = set(within)
-            universe = sorted(allowed)
-        seen: Set[int] = set()
-        components: List[Set[int]] = []
-        for start in universe:
-            if start in seen:
-                continue
-            comp = {start}
-            seen.add(start)
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if w in seen:
-                        continue
-                    if allowed is not None and w not in allowed:
-                        continue
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-            components.append(comp)
-        return components
+        ``within`` (components computed using only edges inside it),
+        in discovery order
+        (:meth:`~repro.graphs.csr.CsrGraph.connected_components`)."""
+        return self.csr().connected_components(within=within)
 
     def induced_subgraph(
         self, vertices: Iterable[int]
@@ -288,110 +230,44 @@ class Graph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
-    def power(
-        self,
-        k: int,
-        backend: str = "python",
-        kernel_workers: Optional[int] = None,
-    ) -> "Graph":
+    def power(self, k: int, kernel_workers: Optional[int] = None) -> "Graph":
         """The k-th power graph ``G^k``: edge when ``1 <= dist <= k``.
 
         Used by the GKM17 baseline (network decomposition of ``G^{2k}``)
-        and by the Section 1.6 blackbox construction.  ``backend="csr"``
-        computes reachability for all vertices at once via the batched
-        kernel; the result is identical.  ``kernel_workers`` shards the
-        kernel's source chunks over worker processes (csr only).
+        and by the Section 1.6 blackbox construction.  Reachability for
+        all vertices comes from one batched kernel sweep;
+        ``kernel_workers`` shards its source chunks over worker
+        processes.
         """
         require(k >= 1, f"power k must be >= 1, got {k}")
-        if backend != "python":
-            from repro.graphs.csr import check_backend
-
-            check_backend(backend)
-            return self.csr().power(k, kernel_workers=kernel_workers)
-        edges: List[Tuple[int, int]] = []
-        for v in range(self.n):
-            for u, d in self.bfs_distances([v], k).items():
-                if 0 < d and v < u:
-                    edges.append((v, u))
-        return Graph(self.n, edges)
+        return self.csr().power(k, kernel_workers=kernel_workers)
 
     def weak_diameter(
-        self,
-        subset: Iterable[int],
-        backend: str = "python",
-        kernel_workers: Optional[int] = None,
+        self, subset: Iterable[int], kernel_workers: Optional[int] = None
     ) -> float:
         """Weak diameter: ``max_{u,v in subset} dist_G(u, v)`` measured in
         the *full* graph (Definition 1.4)."""
-        if backend != "python":
-            from repro.graphs.csr import check_backend
-
-            check_backend(backend)
-            return self.csr().weak_diameter(subset, kernel_workers=kernel_workers)
-        vs = sorted(set(subset))
-        if len(vs) <= 1:
-            return 0
-        best = 0.0
-        for v in vs:
-            dist = self.bfs_distances([v])
-            for u in vs:
-                d = dist.get(u, float("inf"))
-                if d == float("inf"):
-                    return float("inf")
-                best = max(best, d)
-        return best
+        return self.csr().weak_diameter(subset, kernel_workers=kernel_workers)
 
     def strong_diameter(
-        self,
-        subset: Iterable[int],
-        backend: str = "python",
-        kernel_workers: Optional[int] = None,
+        self, subset: Iterable[int], kernel_workers: Optional[int] = None
     ) -> float:
         """Strong diameter: diameter of the induced subgraph ``G[subset]``."""
         sub, _ = self.induced_subgraph(subset)
-        return sub.diameter(backend=backend, kernel_workers=kernel_workers)
+        return sub.diameter(kernel_workers=kernel_workers)
 
     def girth(
         self,
         upper_bound: Optional[int] = None,
-        backend: str = "python",
         kernel_workers: Optional[int] = None,
     ) -> float:
         """Length of the shortest cycle (``inf`` for forests).
 
-        BFS from every vertex; a non-tree edge seen at depth d closes a
-        cycle of length at most ``2d + 1``.  ``upper_bound`` allows early
-        exit once a cycle at most that long is ruled in.
-        ``backend="csr"`` runs the per-root scans over batched distance
-        chunks (:meth:`~repro.graphs.csr.CsrGraph.girth`); the returned
-        value is identical, ``upper_bound`` early exit included.
+        Per-root scans over batched distance chunks
+        (:meth:`~repro.graphs.csr.CsrGraph.girth`).  ``upper_bound``
+        allows early exit once a cycle at most that long is ruled in.
         """
-        if backend != "python":
-            from repro.graphs.csr import check_backend
-
-            check_backend(backend)
-            return self.csr().girth(upper_bound, kernel_workers=kernel_workers)
-        best = float("inf")
-        for root in range(self.n):
-            dist = {root: 0}
-            parent = {root: -1}
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                if 2 * dist[u] >= best - 1:
-                    continue
-                for w in self._adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        queue.append(w)
-                    elif parent[u] != w:
-                        cycle = dist[u] + dist[w] + 1
-                        if cycle < best:
-                            best = cycle
-            if upper_bound is not None and best <= upper_bound:
-                return best
-        return best
+        return self.csr().girth(upper_bound, kernel_workers=kernel_workers)
 
     def is_bipartite(self) -> bool:
         """Two-colorability check via BFS."""

@@ -102,19 +102,15 @@ def decomposition_stats(
     clusters: Sequence[Set[int]],
     deleted: Set[int],
     compute_strong: bool = False,
-    backend: str = "csr",
     kernel_workers: Optional[int] = None,
 ) -> DecompositionStats:
     """Measure a decomposition against Definition 1.4.
 
     ``compute_strong`` also evaluates strong (induced) diameters, which
-    is quadratic-ish and off by default.  ``backend`` selects the
-    engine for the per-cluster diameter sweeps: ``"csr"`` (default)
-    measures each cluster with one batched packed-frontier expansion,
-    ``"python"`` with per-vertex BFS; values are identical.
-    ``kernel_workers`` (csr only) shards each cluster's distance chunks
-    over worker processes — the values are exact hop counts, identical
-    at any worker count.
+    is quadratic-ish and off by default.  Each cluster's diameters come
+    from one batched packed-frontier expansion; ``kernel_workers``
+    shards each cluster's distance chunks over worker processes — the
+    values are exact hop counts, identical at any worker count.
     """
     max_weak = 0.0
     max_strong = 0.0
@@ -122,17 +118,12 @@ def decomposition_stats(
     for cluster in clusters:
         max_size = max(max_size, len(cluster))
         max_weak = max(
-            max_weak,
-            graph.weak_diameter(
-                cluster, backend=backend, kernel_workers=kernel_workers
-            ),
+            max_weak, graph.weak_diameter(cluster, kernel_workers=kernel_workers)
         )
         if compute_strong:
             max_strong = max(
                 max_strong,
-                graph.strong_diameter(
-                    cluster, backend=backend, kernel_workers=kernel_workers
-                ),
+                graph.strong_diameter(cluster, kernel_workers=kernel_workers),
             )
     return DecompositionStats(
         n=graph.n,

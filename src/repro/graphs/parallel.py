@@ -27,8 +27,8 @@ with the partitioned-execution layer, :mod:`repro.mpc`); this module
 keeps only the CSR-specific glue: which arrays to publish, how to
 rebuild a graph from them, and the per-chunk kernel dispatch.
 
-Worker-count resolution (:func:`resolve_kernel_workers`, re-exported
-from :mod:`repro.transport`): an explicit ``kernel_workers=`` argument
+Worker-count resolution (:func:`repro.transport.resolve_kernel_workers`,
+which the kernels call directly): an explicit ``kernel_workers=`` argument
 wins and is honoured as given (tests force 2/4 workers on 1-core boxes
 — oversubscription changes wall-clock, not results); otherwise the
 ``REPRO_KERNEL_WORKERS`` environment variable provides the default,
@@ -46,20 +46,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 import repro.obs as _obs
-from repro.transport import (
-    KERNEL_WORKERS_ENV,
-    SharedArrayExport,
-    attach_shared,
-    resolve_kernel_workers,
-    run_ordered,
-)
+from repro.transport import SharedArrayExport, attach_shared, run_ordered
 
-__all__ = [
-    "KERNEL_WORKERS_ENV",
-    "resolve_kernel_workers",
-    "run_chunk_tasks",
-    "shared_spec",
-]
+__all__ = ["run_chunk_tasks", "shared_spec"]
 
 #: Fields of a CsrGraph published through shared memory.  Everything
 #: else (`degrees`, `_gather_index`, `_starts`, `_zero_degree`) is

@@ -34,14 +34,9 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TYPE_CHECKING,
 )
 
-# Deprecated import location: SolveCache moved to repro.artifacts.cache
-# (the L1 tier of the persistent artifact store) in the serving-layer
-# refactor.  Re-exported here so every existing ``from repro.ilp[.exact]
-# import SolveCache`` keeps working — same class, same keys, so resumed
-# scenario rows are byte-identical to pre-move runs.
-from repro.artifacts.cache import SolveCache  # noqa: F401
 from repro.ilp.instance import (
     FEASIBILITY_TOL,
     Constraint,
@@ -49,6 +44,9 @@ from repro.ilp.instance import (
     PackingInstance,
 )
 from repro.util.validation import require
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.artifacts.cache import SolveCache
 
 
 @dataclass(frozen=True)

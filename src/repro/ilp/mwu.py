@@ -51,6 +51,7 @@ import numpy as np
 from scipy import sparse
 
 from repro import obs as _obs
+from repro.artifacts.cache import SolveCache
 from repro.ilp.certificates import (
     Certificate,
     MwuProblem,
@@ -58,7 +59,7 @@ from repro.ilp.certificates import (
     covering_dual_bound,
     packing_dual_bound,
 )
-from repro.ilp.exact import ExactSolution, SolveCache, solve_covering_exact, solve_packing_exact
+from repro.ilp.exact import ExactSolution, solve_covering_exact, solve_packing_exact
 from repro.ilp.instance import FEASIBILITY_TOL, CoveringInstance, PackingInstance
 from repro.util.rng import SeedLike, ensure_rng, spawn_rngs
 from repro.util.validation import require

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.graphs.graph import Graph
 from repro.util.validation import require
 
@@ -122,101 +124,30 @@ def gather_ball(
     radius: int,
     ledger: Optional[RoundLedger] = None,
     label: str = "gather",
-    within: Optional[Set[int]] = None,
-    backend: str = "python",
-    kernel_workers: Optional[int] = None,
+    within=None,
     mpc=None,
 ) -> GatherResult:
     """Gather ``N^radius(centers)`` as BFS layers, charging the ledger.
 
     ``within`` restricts the BFS to a residual vertex set (balls in the
-    carving phases grow inside the residual graph ``G_i``).  Charges
-    ``radius`` nominal rounds and ``depth_reached`` effective rounds;
-    callers composing many simultaneous gathers should instead charge
-    once via :meth:`RoundLedger.merge_parallel` and pass ``ledger=None``.
-
-    ``backend="csr"`` runs the BFS on the numpy CSR kernel
-    (:meth:`~repro.graphs.csr.CsrGraph.bfs_distances`); ``within`` may
-    then also be a precomputed boolean mask, letting carving drivers
+    carving phases grow inside the residual graph ``G_i``); it may be a
+    vertex set or a precomputed boolean mask, letting carving drivers
     amortize the set-to-mask conversion across all carves of one
-    residual snapshot.  The layers produced are identical.
+    residual snapshot.  Charges ``radius`` nominal rounds and
+    ``depth_reached`` effective rounds; callers composing many
+    simultaneous gathers should instead charge once via
+    :meth:`RoundLedger.merge_parallel` and pass ``ledger=None``.
 
-    ``kernel_workers`` is accepted for interface uniformity with the
-    chunked kernels but a gather is **one** multi-source BFS — its
-    levels are sequential and there are no independent chunks to
-    shard, so it always executes serially (see the kernel-parallelism
-    coverage matrix in ``src/repro/exp/README.md``).
-
-    ``mpc`` (an :class:`~repro.mpc.MpcRun` started on *this* graph's
-    CSR) runs the BFS over the partitioned ranks instead —
+    The BFS is one vectorized multi-source sweep on the CSR kernel
+    (:meth:`~repro.graphs.csr.CsrGraph.bfs_distances`; its pure-Python
+    oracle is :func:`repro.graphs.reference.gather_ball`).  ``mpc`` (an
+    :class:`~repro.mpc.MpcRun` started on *this* graph's CSR) runs the
+    BFS over the partitioned ranks instead —
     :func:`repro.mpc.driver.mpc_bfs_distances` is bit-identical to the
     single-box BFS, so the layers are too, and each BFS level becomes
     one metered communication round on ``mpc.meter``.
     """
     require(radius >= 0, f"radius must be >= 0, got {radius}")
-    if mpc is not None:
-        return _gather_ball_csr(
-            graph, centers, radius, ledger, label, within, mpc=mpc
-        )
-    if backend != "python":
-        from repro.graphs.csr import check_backend
-
-        check_backend(backend)
-        return _gather_ball_csr(graph, centers, radius, ledger, label, within)
-    # A numpy mask in the python path would be silently misread by the
-    # elementwise `in` below — near-empty gathers, no error.  Fail loud.
-    require(
-        not hasattr(within, "dtype"),
-        "a boolean residual mask requires backend='csr'; pass a vertex "
-        "set to the python backend",
-    )
-    from collections import deque
-
-    allowed = within
-    dist: Dict[int, int] = {}
-    queue: deque[int] = deque()
-    for c in centers:
-        if allowed is not None and c not in allowed:
-            continue
-        if c not in dist:
-            dist[c] = 0
-            queue.append(c)
-    while queue:
-        u = queue.popleft()
-        d = dist[u]
-        if d >= radius:
-            continue
-        for w in graph.neighbors(u):
-            if w in dist:
-                continue
-            if allowed is not None and w not in allowed:
-                continue
-            dist[w] = d + 1
-            queue.append(w)
-    depth = max(dist.values(), default=0)
-    layers: List[Set[int]] = [set() for _ in range(depth + 1)]
-    for v, d in dist.items():
-        layers[d].add(v)
-    if ledger is not None:
-        ledger.charge(label, radius, depth)
-    return GatherResult(
-        layers=tuple(frozenset(layer) for layer in layers),
-        depth_reached=depth,
-    )
-
-
-def _gather_ball_csr(
-    graph: Graph,
-    centers: Iterable[int],
-    radius: int,
-    ledger: Optional[RoundLedger],
-    label: str,
-    within,
-    mpc=None,
-) -> GatherResult:
-    """CSR-backed gather: one vectorized BFS, then layers from distances."""
-    import numpy as np
-
     if mpc is not None:
         dist = mpc.bfs_distances(centers, radius=radius, within=within)
     else:

@@ -91,7 +91,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # the full library), while `summarize` only reads JSONL files.
     from repro.exp import scenarios as _scenarios
     from repro.exp.cli import _parse_overrides
-    from repro.graphs.parallel import KERNEL_WORKERS_ENV
+    from repro.transport import KERNEL_WORKERS_ENV
     from repro.util.tables import Table
 
     try:

@@ -1,10 +1,11 @@
-"""RPL201/RPL202: backend dispatch and test coverage fixtures."""
+"""RPL201/RPL202: no backend knob, and every reference oracle tested."""
 
 import textwrap
 
 from repro.devtools.lint import lint_sources
 
 LIB = "src/repro/decomp/fixture.py"
+REFERENCE = "src/repro/graphs/reference.py"
 
 
 def lint_many(*pairs):
@@ -17,100 +18,85 @@ def codes(source, path=LIB):
     return [v.code for v in lint_many((path, source))]
 
 
-class TestBackendDispatch:
-    def test_ignored_parameter_flagged(self):
+class TestNoBackendKnob:
+    def test_backend_parameter_flagged(self):
         src = """
-            def kernel(graph, backend="csr"):
-                return graph.csr().power(2)
-        """
-        assert "RPL201" in codes(src)
-
-    def test_validation_only_still_flagged(self):
-        """check_backend() validates the value; it is not a dispatch."""
-        src = """
-            from repro.graphs.csr import check_backend
-
-            def kernel(graph, backend="csr"):
-                check_backend(backend)
-                return graph.csr().power(2)
-        """
-        assert "RPL201" in codes(src)
-
-    def test_unknown_arm_flagged(self):
-        src = """
-            def kernel(graph, backend="csr"):
-                if backend == "numpy":
-                    return 1
-                return 2
-        """
-        assert "RPL201" in codes(src)
-
-    def test_two_arm_dispatch_clean(self):
-        src = """
-            def kernel(graph, backend="csr"):
+            def kernel(graph, backend="gpu"):
                 if backend == "csr":
                     return graph.csr().power(2)
                 return graph.power_python(2)
         """
-        assert codes(src) == []
+        assert codes(src) == ["RPL201"]
 
-    def test_negated_dispatch_clean(self):
-        """The Graph.power idiom: `if backend != "python": <csr arm>`."""
+    def test_keyword_only_and_method_flagged(self):
         src = """
-            def kernel(graph, backend="python"):
-                if backend != "python":
-                    return graph.csr().power(2)
-                return graph.power_python(2)
+            class Engine:
+                def run(self, graph, *, backend="gpu"):
+                    return graph
         """
-        assert codes(src) == []
+        assert codes(src) == ["RPL201"]
 
-    def test_forwarding_clean(self):
+    def test_forwarding_wrapper_flagged(self):
         src = """
-            def wrapper(graph, backend="csr"):
+            def wrapper(graph, backend="gpu"):
                 return inner(graph, backend=backend)
+        """
+        assert codes(src) == ["RPL201"]
+
+    def test_execution_backend_clean(self):
+        """The local/mpc axis is a different parameter and stays."""
+        src = """
+            def driver(graph, execution_backend="local"):
+                return execution_backend
         """
         assert codes(src) == []
 
     def test_out_of_library_exempt(self):
         src = """
-            def kernel(graph, backend="csr"):
+            def kernel(graph, backend="gpu"):
                 return graph.csr().power(2)
         """
         assert codes(src, path="benchmarks/fixture.py") == []
 
 
-KERNEL = """
-    def fast_kernel(graph, backend="csr"):
-        if backend == "csr":
-            return graph.csr().power(2)
-        return graph.power_python(2)
+ORACLE = """
+    def fast_oracle(graph):
+        return graph.n
 """
 
-PRIVATE_KERNEL = KERNEL.replace("fast_kernel", "_fast_kernel")
+PRIVATE_ORACLE = ORACLE.replace("fast_oracle", "_fast_oracle")
 
 
-class TestBackendTestCoverage:
-    def test_untested_public_kernel_flagged(self):
+class TestReferenceOracleCoverage:
+    def test_untested_oracle_flagged(self):
         found = lint_many(
-            (LIB, KERNEL),
+            (REFERENCE, ORACLE),
             ("tests/test_other.py", "def test_nothing():\n    pass\n"),
         )
         assert [v.code for v in found] == ["RPL202"]
-        assert "fast_kernel" in found[0].message
+        assert "fast_oracle" in found[0].message
 
-    def test_tested_kernel_clean(self):
+    def test_tested_oracle_clean(self):
         found = lint_many(
-            (LIB, KERNEL),
+            (REFERENCE, ORACLE),
             (
                 "tests/test_kernel.py",
-                "def test_parity():\n    assert fast_kernel(g) == ref\n",
+                "def test_parity():\n    assert kernel(g) == reference.fast_oracle(g)\n",
             ),
         )
         assert found == []
 
-    def test_private_kernel_exempt(self):
+    def test_private_helper_exempt(self):
         found = lint_many(
-            (LIB, PRIVATE_KERNEL),
+            (REFERENCE, PRIVATE_ORACLE),
+            ("tests/test_other.py", "def test_nothing():\n    pass\n"),
+        )
+        assert found == []
+
+    def test_other_modules_exempt(self):
+        """Only graphs/reference.py is an oracle module."""
+        found = lint_many(
+            (LIB, ORACLE),
             ("tests/test_other.py", "def test_nothing():\n    pass\n"),
         )
         assert found == []
@@ -118,15 +104,15 @@ class TestBackendTestCoverage:
     def test_skipped_without_test_corpus(self):
         """Single-file runs can't see tests/: the rule stays silent
         rather than reporting false positives."""
-        assert codes(KERNEL) == []
+        assert codes(ORACLE, path=REFERENCE) == []
 
-    def test_real_tree_idiom_substring_not_fooled(self):
+    def test_substring_not_fooled(self):
         """The name must appear as a word, not a substring."""
         found = lint_many(
-            (LIB, KERNEL),
+            (REFERENCE, ORACLE),
             (
                 "tests/test_kernel.py",
-                "def test_x():\n    assert unfast_kernelish() == 1\n",
+                "def test_x():\n    assert unfast_oracleish() == 1\n",
             ),
         )
         assert [v.code for v in found] == ["RPL202"]

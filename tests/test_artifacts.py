@@ -261,9 +261,7 @@ class TestSolveCacheShim:
     def test_reexport_is_same_class(self):
         from repro.artifacts.cache import SolveCache as moved
         from repro.ilp import SolveCache as pkg
-        from repro.ilp.exact import SolveCache as legacy
 
-        assert legacy is moved
         assert pkg is moved
         assert SolveCache is moved
 

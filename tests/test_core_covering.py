@@ -120,53 +120,3 @@ class TestDiagnostics:
         a = solve_covering(inst, EPS, seed=8, cache=shared_cache)
         b = solve_covering(inst, EPS, seed=8, cache=shared_cache)
         assert a.chosen == b.chosen
-
-
-class TestBackendEquivalence:
-    """The Theorem 1.3 driver is bit-identical on both BFS engines."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_backends_identical(self, seed):
-        from repro.graphs import grid_graph
-        from repro.ilp import min_dominating_set_ilp
-
-        instance = min_dominating_set_ilp(grid_graph(5, 6))
-        ref = solve_covering(instance, 0.3, seed=seed, backend="python")
-        fast = solve_covering(instance, 0.3, seed=seed, backend="csr")
-        assert ref.chosen == fast.chosen
-        assert ref.weight == fast.weight
-        assert ref.fixed_weight == fast.fixed_weight
-        assert ref.num_zones == fast.num_zones
-        assert ref.residual_size == fast.residual_size
-
-    @pytest.mark.parametrize("seed", range(2))
-    def test_chang_li_covering_backends_identical(self, seed, shared_cache):
-        """The Theorem 1.3 driver itself (explicit params, no profile
-        wrapper) is bit-identical across backends."""
-        from repro.core import chang_li_covering
-        from repro.core.params import CoveringParams
-        from repro.ilp import min_dominating_set_ilp
-
-        instance = min_dominating_set_ilp(grid_graph(4, 5))
-        params = CoveringParams.practical(0.4, max(instance.n, 2))
-        ref = chang_li_covering(
-            instance, params, seed=seed, cache=shared_cache, backend="python"
-        )
-        fast = chang_li_covering(
-            instance, params, seed=seed, cache=shared_cache, backend="csr"
-        )
-        assert ref.chosen == fast.chosen
-        assert ref.weight == fast.weight
-        assert ref.fixed_weight == fast.fixed_weight
-        assert ref.num_zones == fast.num_zones
-        assert ref.residual_size == fast.residual_size
-        assert ref.ledger.effective_rounds == fast.ledger.effective_rounds
-
-    def test_unknown_backend_rejected(self):
-        from repro.graphs import cycle_graph
-        from repro.ilp import min_dominating_set_ilp
-
-        with pytest.raises(ValueError, match="backend"):
-            solve_covering(
-                min_dominating_set_ilp(cycle_graph(9)), 0.3, seed=0, backend="gpu"
-            )

@@ -163,13 +163,14 @@ class TestCoveringBySparseCover:
         assert not (chosen & fixed)
 
 
-class TestBackendEquivalence:
-    """csr kernels vs the heap-flood reference for MPX and sparse cover."""
+class TestFloodOracle:
+    """The CSR-kernel decompositions vs the heap-flood oracle
+    (:func:`repro.decomp.shifts.shifted_flood`) on shared shifts."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("lam", [0.1, 0.3, 1.0])
-    def test_mpx_backends_identical(self, seed, lam):
-        from repro.decomp import sample_shifts
+    def test_mpx_matches_flood_oracle(self, seed, lam):
+        from repro.decomp import sample_shifts, shifted_flood
 
         rng = np.random.default_rng(seed)
         graphs = [
@@ -179,39 +180,58 @@ class TestBackendEquivalence:
         ]
         for g in graphs:
             shifts = sample_shifts(g.n, lam, max(g.n, 2), seed=seed)
-            ref = mpx_decomposition(g, lam, shifts=shifts)
-            fast = mpx_decomposition(g, lam, shifts=shifts, backend="csr")
-            assert ref.owner == fast.owner
-            assert ref.clusters == fast.clusters
-            assert ref.centers == fast.centers
-            assert ref.cut_edges == fast.cut_edges
-            assert (
-                ref.ledger.effective_rounds == fast.ledger.effective_rounds
-            )
+            records = shifted_flood(g, shifts, keep=1)
+            owner = {v: records[v][0].source for v in range(g.n)}
+            fast = mpx_decomposition(g, lam, shifts=shifts)
+            assert fast.owner == owner
+            assert fast.centers == sorted(set(owner.values()))
+            assert fast.cut_edges == [
+                (u, v) for u, v in g.edges() if owner[u] != owner[v]
+            ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("lam", [0.1, 0.5])
+    def test_elkin_neiman_matches_flood_oracle(self, seed, lam):
+        from repro.decomp import (
+            elkin_neiman_ldd,
+            en_is_deleted,
+            sample_shifts,
+            shifted_flood,
+        )
+
+        g = erdos_renyi_connected(30, 0.1, np.random.default_rng(50 + seed))
+        shifts = sample_shifts(g.n, lam, max(g.n, 2), seed=seed)
+        for within in (None, set(range(0, g.n, 2))):
+            records = shifted_flood(g, shifts, keep=2, within=within)
+            vertices = sorted(within) if within is not None else range(g.n)
+            deleted = {v for v in vertices if en_is_deleted(records[v])}
+            members = {}
+            for v in vertices:
+                if v not in deleted:
+                    members.setdefault(records[v][0].source, set()).add(v)
+            fast = elkin_neiman_ldd(g, lam, shifts=shifts, within=within)
+            assert fast.deleted == deleted
+            assert fast.centers == sorted(members)
+            assert fast.clusters == [members[c] for c in sorted(members)]
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("lam", [0.05, 0.2, 0.7])
-    def test_sparse_cover_backends_identical(self, seed, lam):
-        from repro.decomp import sample_shifts
+    def test_sparse_cover_matches_flood_oracle(self, seed, lam):
+        from repro.decomp import sample_shifts, shifted_flood, within_one_sources
 
         rng = np.random.default_rng(100 + seed)
         inst = min_dominating_set_ilp(erdos_renyi_connected(26, 0.12, rng))
         hg = inst.hypergraph()
-        n = hg.primal_graph().n
-        shifts = sample_shifts(n, lam, max(n, 2), seed=seed)
-        within_options = [None, set(range(0, n, 2)), set(range(n // 2))]
+        g = hg.primal_graph()
+        shifts = sample_shifts(g.n, lam, max(g.n, 2), seed=seed)
+        within_options = [None, set(range(0, g.n, 2)), set(range(g.n // 2))]
         for within in within_options:
-            ref = sparse_cover(hg, lam, shifts=shifts, within=within)
-            fast = sparse_cover(
-                hg, lam, shifts=shifts, within=within, backend="csr"
-            )
-            assert ref.clusters == fast.clusters, (seed, lam, within)
-            assert ref.centers == fast.centers
-
-    def test_unknown_backend_rejected(self):
-        g = cycle_graph(6)
-        with pytest.raises(ValueError, match="backend"):
-            mpx_decomposition(g, 0.3, seed=0, backend="gpu")
-        hg = min_vertex_cover_ilp(g).hypergraph()
-        with pytest.raises(ValueError, match="backend"):
-            sparse_cover(hg, 0.3, seed=0, backend="gpu")
+            records = shifted_flood(g, shifts, keep=None, within=within)
+            vertices = sorted(within) if within is not None else range(g.n)
+            members = {}
+            for v in vertices:
+                for rec in within_one_sources(records[v]):
+                    members.setdefault(rec.source, set()).add(v)
+            fast = sparse_cover(hg, lam, shifts=shifts, within=within)
+            assert fast.centers == sorted(members), (seed, lam, within)
+            assert fast.clusters == [members[c] for c in sorted(members)]

@@ -10,7 +10,7 @@ from repro.decomp.quality import (
     summarize_decomposition,
 )
 from repro.decomp.types import Decomposition
-from repro.graphs import cycle_graph, grid_graph
+from repro.graphs import cycle_graph, grid_graph, reference
 from repro.local.gather import RoundLedger
 
 
@@ -82,32 +82,18 @@ class TestRunTrials:
         assert all(0 <= f <= 1 for f in series.fractions)
 
 
-class TestBackendEquivalence:
-    """The CSR-kernel quality path must match the python reference."""
+class TestReferenceDiameters:
+    """The CSR-kernel quality path matches the python oracle."""
 
-    def test_summarize_backends_identical(self):
+    def test_summarize_matches_reference_diameters(self):
         graph = grid_graph(8, 8)
         from repro.core import low_diameter_decomposition
 
         decomposition = low_diameter_decomposition(graph, eps=0.3, seed=2)
-        py = summarize_decomposition(graph, decomposition, backend="python")
-        csr = summarize_decomposition(graph, decomposition, backend="csr")
-        assert py == csr
-
-    def test_run_trials_backends_identical(self):
-        graph = cycle_graph(40)
-        from repro.core import low_diameter_decomposition
-
-        def runner(seed):
-            return low_diameter_decomposition(graph, eps=0.3, seed=seed)
-
-        py = run_ldd_trials(graph, runner, trials=3, backend="python")
-        csr = run_ldd_trials(graph, runner, trials=3, backend="csr")
-        assert py.fractions == csr.fractions
-        assert py.diameters == csr.diameters
-
-    def test_unknown_backend_rejected(self):
-        graph = cycle_graph(12)
-        decomposition = elkin_neiman_ldd(graph, 0.3, seed=0)
-        with pytest.raises(ValueError):
-            summarize_decomposition(graph, decomposition, backend="nope")
+        summary = summarize_decomposition(graph, decomposition)
+        expected = max(
+            (reference.weak_diameter(graph, c) for c in decomposition.clusters),
+            default=0.0,
+        )
+        assert summary.max_weak_diameter == expected
+        assert type(summary.max_weak_diameter) is type(expected)

@@ -1,13 +1,13 @@
-"""Property-based equivalence suite: CSR kernels vs pure-Python graph ops.
+"""Property-based equivalence suite: CSR kernels vs pure-Python oracles.
 
 Every kernel in :mod:`repro.graphs.csr` must be observationally
-equivalent to its reference implementation — that equivalence is what
-licenses ``backend="csr"`` as the default execution engine for the
-Theorem 1.1 pipeline.  The suite sweeps ~100 random graphs across four
+equivalent to its oracle in :mod:`repro.graphs.reference` — that
+equivalence is what licenses the kernels as the library's only
+production path.  The suite sweeps ~100 random graphs across four
 shapes (Erdős–Rényi, grids, caterpillars, and disconnected unions) and
-checks every primitive, then runs the LDD end-to-end on both backends
-and asserts the paper guarantees (the (C1) deletion bound and the
-Lemma 3.2 weak-diameter budget) for each.
+checks every primitive (values *and* return types), then runs the LDD
+end to end and asserts the paper guarantees (the (C1) deletion bound
+and the Lemma 3.2 weak-diameter budget).
 """
 
 import math
@@ -19,14 +19,14 @@ import pytest
 from repro.core import LddParams, chang_li_ldd
 from repro.decomp.shifts import sample_shifts, shifted_flood
 from repro.graphs import (
-    BACKENDS,
     Graph,
     caterpillar,
     cycle_graph,
     erdos_renyi,
     grid_graph,
+    reference,
 )
-from repro.graphs.csr import CsrGraph, check_backend
+from repro.graphs.csr import CsrGraph
 from repro.local.gather import gather_ball
 
 
@@ -90,34 +90,34 @@ class TestKernelEquivalence:
         csr = graph.csr()
         radius = int(rng.integers(1, 6))
         sizes, depths = csr.all_ball_sizes(radius)
+        ref_sizes, ref_depths = reference.all_ball_sizes(graph, radius)
+        assert sizes.tolist() == ref_sizes
+        assert depths.tolist() == ref_depths
         for v in range(graph.n):
             assert sizes[v] == len(graph.ball(v, radius))
-        # gather layers must be identical on both backends, including
-        # on a residual vertex set
+        # gather layers must equal the oracle's, including on a
+        # residual vertex set
         within = set(rng.choice(graph.n, size=max(1, graph.n // 2), replace=False).tolist())
         center = int(rng.integers(0, graph.n))
         for kwargs in ({}, {"within": within}):
-            ref = gather_ball(graph, [center], radius, **kwargs)
-            fast = gather_ball(graph, [center], radius, backend="csr", **kwargs)
+            ref = reference.gather_ball(graph, [center], radius, **kwargs)
+            fast = gather_ball(graph, [center], radius, **kwargs)
             assert ref.layers == fast.layers
             assert ref.depth_reached == fast.depth_reached
-        ref_full = gather_ball(graph, [center], radius)
-        assert depths[center] == ref_full.depth_reached
 
     @pytest.mark.parametrize("name,graph", POOL[::5])
     def test_weighted_ball_sizes(self, name, graph):
         rng = _rng(name)
         weights = rng.random(graph.n)
         sizes, _ = graph.csr().all_ball_sizes(3, weights=weights)
-        for v in range(graph.n):
-            expected = sum(weights[u] for u in graph.ball(v, 3))
-            assert sizes[v] == pytest.approx(expected)
+        ref_sizes, _ = reference.all_ball_sizes(graph, 3, weights=weights)
+        assert sizes.tolist() == pytest.approx(ref_sizes)
 
     @pytest.mark.parametrize("name,graph", POOL)
     def test_power(self, name, graph):
         for k in (1, 2, 3):
-            fast = graph.power(k, backend="csr")
-            ref = graph.power(k)
+            fast = graph.power(k)
+            ref = reference.power(graph, k)
             assert fast == ref
             # the trusted bulk constructor must also rebuild identical
             # adjacency tuples, not just the edge set
@@ -126,17 +126,42 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("name,graph", POOL)
     def test_connected_components(self, name, graph):
         rng = _rng(name)
-        assert graph.connected_components(backend="csr") == graph.connected_components()
+        assert graph.connected_components() == reference.connected_components(graph)
         within = set(rng.choice(graph.n, size=max(1, graph.n // 2), replace=False).tolist())
         assert graph.connected_components(
-            within=within, backend="csr"
-        ) == graph.connected_components(within=within)
+            within=within
+        ) == reference.connected_components(graph, within=within)
 
     @pytest.mark.parametrize("name,graph", POOL)
     def test_weak_diameter(self, name, graph):
         rng = _rng(name)
+        for size in (1, max(2, graph.n // 3)):
+            subset = rng.choice(graph.n, size=size, replace=False).tolist()
+            fast = graph.weak_diameter(subset)
+            ref = reference.weak_diameter(graph, subset)
+            assert fast == ref
+            assert type(fast) is type(ref)
+
+    @pytest.mark.parametrize("name,graph", POOL)
+    def test_eccentricity_and_diameters(self, name, graph):
+        """Values and return types match the oracle, so JSON rows print
+        ``7.0`` on either side, never ``7`` vs ``7.0``."""
+        rng = _rng(name)
+        v = int(rng.integers(0, graph.n))
+        pairs = [
+            (graph.eccentricity(v), reference.eccentricity(graph, v)),
+            (graph.diameter(), reference.diameter(graph)),
+        ]
         subset = rng.choice(graph.n, size=max(2, graph.n // 3), replace=False).tolist()
-        assert graph.weak_diameter(subset, backend="csr") == graph.weak_diameter(subset)
+        sub, _ = graph.induced_subgraph(subset)
+        pairs.append((graph.strong_diameter(subset), reference.diameter(sub)))
+        for fast, ref in pairs:
+            assert fast == ref
+            assert type(fast) is type(ref)
+
+    def test_empty_graph_diameter_is_float(self):
+        assert Graph(0).diameter() == reference.diameter(Graph(0)) == 0.0
+        assert type(Graph(0).diameter()) is type(reference.diameter(Graph(0)))
 
     @pytest.mark.parametrize("name,graph", POOL[::5])
     def test_distances_from_matrix(self, name, graph):
@@ -161,8 +186,9 @@ class TestKernelEquivalence:
         for s in range(0, graph.n, 5):
             _assert_dist_equal(graph, mat[s], graph.bfs_distances([s]))
         chunked_power = csr.power(2, chunk_size=chunk_size)
-        assert chunked_power == graph.power(2)
-        assert chunked_power._adj == graph.power(2)._adj
+        ref_power = reference.power(graph, 2)
+        assert chunked_power == ref_power
+        assert chunked_power._adj == ref_power._adj
 
     @pytest.mark.parametrize("name,graph", POOL[::3])
     def test_top2_shifted_flood(self, name, graph):
@@ -223,7 +249,7 @@ class TestSaturationShortcut:
     def test_unbounded_radius_equals_python_gather(self, name, graph, radius):
         sizes, depths = graph.csr().all_ball_sizes(radius)
         for v in range(graph.n):
-            ref = gather_ball(graph, [v], graph.n + 1)
+            ref = reference.gather_ball(graph, [v], graph.n + 1)
             assert sizes[v] == len(ref.ball), (name, v)
             assert depths[v] == ref.depth_reached, (name, v)
 
@@ -243,7 +269,7 @@ class TestSaturationShortcut:
         )
         sizes, depths = graph.csr().all_ball_sizes(None, within=within)
         for v in range(graph.n):
-            ref = gather_ball(graph, [v], graph.n + 1, within=within)
+            ref = reference.gather_ball(graph, [v], graph.n + 1, within=within)
             assert sizes[v] == len(ref.ball), (name, v)
             assert depths[v] == ref.depth_reached, (name, v)
 
@@ -253,7 +279,7 @@ class TestSaturationShortcut:
         weights = rng.random(graph.n)
         sizes, _ = graph.csr().all_ball_sizes(None, weights=weights)
         for v in range(graph.n):
-            ball = gather_ball(graph, [v], graph.n + 1).ball
+            ball = reference.gather_ball(graph, [v], graph.n + 1).ball
             assert sizes[v] == pytest.approx(sum(weights[u] for u in ball))
 
     def test_shattered_components_retire_early(self):
@@ -303,39 +329,37 @@ class TestSaturationShortcut:
 
 
 class TestGirth:
-    """CsrGraph.girth vs the per-vertex-BFS reference, value-identical."""
+    """CsrGraph.girth vs the per-vertex-BFS oracle, value-identical."""
 
     @pytest.mark.parametrize("name,graph", POOL[::4])
     def test_matches_reference(self, name, graph):
-        assert graph.girth(backend="csr") == graph.girth()
+        fast, ref = graph.girth(), reference.girth(graph)
+        assert fast == ref
+        assert type(fast) is type(ref)
 
     @pytest.mark.parametrize("name,graph", POOL[2::10])
     def test_upper_bound_early_exit_matches(self, name, graph):
         for ub in (3, 4, 6, 10):
-            assert graph.girth(upper_bound=ub, backend="csr") == graph.girth(
-                upper_bound=ub
+            assert graph.girth(upper_bound=ub) == reference.girth(
+                graph, upper_bound=ub
             ), (name, ub)
 
     def test_named_graphs(self):
         from repro.graphs.highgirth import mcgee_graph, petersen_graph
 
-        assert petersen_graph().girth(backend="csr") == 5
-        assert mcgee_graph().girth(backend="csr") == 7
-        assert cycle_graph(9).girth(backend="csr") == 9
-        assert grid_graph(3, 4).girth(backend="csr") == 4
+        assert petersen_graph().girth() == 5
+        assert mcgee_graph().girth() == 7
+        assert cycle_graph(9).girth() == 9
+        assert grid_graph(3, 4).girth() == 4
 
     def test_forest_and_edge_cases(self):
         from repro.graphs import path_graph, random_tree
 
-        assert path_graph(6).girth(backend="csr") == float("inf")
-        assert Graph(0).girth(backend="csr") == float("inf")
-        assert Graph(5).girth(backend="csr") == float("inf")
+        assert path_graph(6).girth() == float("inf")
+        assert Graph(0).girth() == float("inf")
+        assert Graph(5).girth() == float("inf")
         tree = random_tree(40, np.random.default_rng(3))
-        assert tree.girth(backend="csr") == tree.girth() == float("inf")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            cycle_graph(5).girth(backend="gpu")
+        assert tree.girth() == reference.girth(tree) == float("inf")
 
 
 class TestCsrEdgeCases:
@@ -353,17 +377,6 @@ class TestCsrEdgeCases:
         assert sizes.tolist() == [2, 2, 1, 1]
         assert depths.tolist() == [1, 1, 0, 0]
         assert csr.connected_components() == [{0, 1}, {2}, {3}]
-
-    def test_unknown_backend_rejected(self):
-        g = cycle_graph(5)
-        with pytest.raises(ValueError, match="backend"):
-            g.power(2, backend="gpu")
-        with pytest.raises(ValueError, match="backend"):
-            gather_ball(g, [0], 2, backend="gpu")
-        with pytest.raises(ValueError, match="backend"):
-            chang_li_ldd(g, LddParams.practical(0.3, 5), backend="gpu")
-        assert "csr" in BACKENDS and "python" in BACKENDS
-        check_backend("csr")
 
     def test_csr_cache_reused(self):
         g = cycle_graph(6)
@@ -385,8 +398,9 @@ def _diameter_budget(params: LddParams) -> float:
     )
 
 
-class TestLddEndToEndBothBackends:
-    """Both backends satisfy Theorem 1.1's guarantees and agree exactly."""
+class TestLddEndToEnd:
+    """The kernel-driven LDD satisfies Theorem 1.1's guarantees, and its
+    clusters are exactly the oracle components of the kept vertices."""
 
     GRAPHS = (
         ("cycle-150", lambda: cycle_graph(150)),
@@ -398,24 +412,20 @@ class TestLddEndToEndBothBackends:
     def test_guarantees_and_agreement(self, name, make):
         eps = 0.3
         for seed in range(3):
-            results = {}
-            for backend in BACKENDS:
-                graph = make()
-                params = LddParams.practical(eps, graph.n)
-                d = chang_li_ldd(graph, params, seed=seed, backend=backend)
-                # (C1): the unclustered fraction stays below eps
-                assert len(d.deleted) <= eps * graph.n, (name, backend, seed)
-                # Lemma 3.2: every cluster within the weak-diameter budget
-                budget = _diameter_budget(params)
-                for cluster in d.clusters:
-                    assert graph.weak_diameter(cluster, backend="csr") <= budget
-                results[backend] = d
-            ref, fast = results["python"], results["csr"]
-            assert ref.deleted == fast.deleted, (name, seed)
-            assert ref.clusters == fast.clusters, (name, seed)
-            assert (
-                ref.ledger.effective_rounds == fast.ledger.effective_rounds
-            ), (name, seed)
+            graph = make()
+            params = LddParams.practical(eps, graph.n)
+            d = chang_li_ldd(graph, params, seed=seed)
+            # (C1): the unclustered fraction stays below eps
+            assert len(d.deleted) <= eps * graph.n, (name, seed)
+            # Lemma 3.2: every cluster within the weak-diameter budget
+            budget = _diameter_budget(params)
+            for cluster in d.clusters:
+                assert reference.weak_diameter(graph, cluster) <= budget
+            kept = set(range(graph.n)) - d.deleted
+            assert d.clusters == reference.connected_components(graph, kept)
+            again = chang_li_ldd(make(), params, seed=seed)
+            assert again.deleted == d.deleted, (name, seed)
+            assert again.clusters == d.clusters, (name, seed)
 
 
 class TestSparseEarlyPhase:
@@ -453,11 +463,11 @@ class TestSparseEarlyPhase:
 
         graph = grid_graph(12, 12)
         params = LddParams.practical(0.3, graph.n)
-        reference = chang_li_ldd(graph, params, seed=5, backend="csr")
+        baseline = chang_li_ldd(graph, params, seed=5)
         monkeypatch.setattr(csr_module, "_SPARSE_COST_FACTOR", 0.0)
-        forced = chang_li_ldd(graph, params, seed=5, backend="csr")
-        assert forced.deleted == reference.deleted
-        assert forced.clusters == reference.clusters
+        forced = chang_li_ldd(graph, params, seed=5)
+        assert forced.deleted == baseline.deleted
+        assert forced.clusters == baseline.clusters
 
     def test_weighted_and_sources_with_forced_sparse(self, monkeypatch):
         from repro.graphs import csr as csr_module

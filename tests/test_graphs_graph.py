@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import Graph, cycle_graph, grid_graph, path_graph
+from repro.graphs import Graph, cycle_graph, grid_graph, path_graph, reference
 
 
 def edges_strategy(max_n=12):
@@ -221,7 +221,8 @@ class TestFromNetworkxRelabelling:
 
 
 class TestDiameterBackends:
-    """Graph.diameter/eccentricity on the CSR kernel vs python BFS."""
+    """Graph.diameter/eccentricity on the CSR kernel vs the python BFS
+    oracles of repro.graphs.reference (values and return types)."""
 
     CASES = (
         Graph(0, []),
@@ -242,23 +243,25 @@ class TestDiameterBackends:
             random_tree(30, np.random.default_rng(1)),
         ]
         for graph in graphs:
-            assert graph.diameter() == graph.diameter(backend="csr"), graph
+            fast, ref = graph.diameter(), reference.diameter(graph)
+            assert fast == ref, graph
+            assert type(fast) is type(ref), graph
 
     def test_eccentricity_matches_python(self):
         for graph in self.CASES:
             for v in range(graph.n):
-                assert graph.eccentricity(v) == graph.eccentricity(
-                    v, backend="csr"
-                ), (graph, v)
+                fast = graph.eccentricity(v)
+                ref = reference.eccentricity(graph, v)
+                assert fast == ref, (graph, v)
+                assert type(fast) is type(ref), (graph, v)
 
     def test_strong_diameter_backend(self):
         from repro.graphs import grid_graph
 
         graph = grid_graph(4, 4)
         subset = [0, 1, 2, 5, 6]
-        assert graph.strong_diameter(subset) == graph.strong_diameter(
-            subset, backend="csr"
-        )
+        sub, _ = graph.induced_subgraph(subset)
+        assert graph.strong_diameter(subset) == reference.diameter(sub) == 3.0
 
     def test_csr_eccentricities_batch(self):
         import numpy as np
@@ -271,7 +274,3 @@ class TestDiameterBackends:
         assert [graph.eccentricity(v) for v in range(graph.n)] == ecc.tolist()
         disconnected = Graph(3, [(0, 1)])
         assert np.isinf(disconnected.csr().eccentricities()).all()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Graph(2, [(0, 1)]).diameter(backend="bogus")

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import transport
 from repro.core import LddParams, chang_li_ldd
 from repro.graphs import csr as csr_module
 from repro.graphs import parallel
@@ -47,29 +48,29 @@ def _bytes(arrays):
 
 class TestResolveKernelWorkers:
     def test_explicit_argument_wins_over_everything(self, monkeypatch):
-        monkeypatch.setenv(parallel.KERNEL_WORKERS_ENV, "2")
-        assert parallel.resolve_kernel_workers(4) == 4
-        assert parallel.resolve_kernel_workers(1) == 1
+        monkeypatch.setenv(transport.KERNEL_WORKERS_ENV, "2")
+        assert transport.resolve_kernel_workers(4) == 4
+        assert transport.resolve_kernel_workers(1) == 1
 
     def test_env_default_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setenv(parallel.KERNEL_WORKERS_ENV, "64")
+        monkeypatch.setenv(transport.KERNEL_WORKERS_ENV, "64")
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert parallel.resolve_kernel_workers() == 4
-        monkeypatch.setenv(parallel.KERNEL_WORKERS_ENV, "3")
+        assert transport.resolve_kernel_workers() == 4
+        monkeypatch.setenv(transport.KERNEL_WORKERS_ENV, "3")
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert parallel.resolve_kernel_workers() == 3
+        assert transport.resolve_kernel_workers() == 3
 
     def test_unset_or_junk_env_means_serial(self, monkeypatch):
-        monkeypatch.delenv(parallel.KERNEL_WORKERS_ENV, raising=False)
-        assert parallel.resolve_kernel_workers() == 1
-        monkeypatch.setenv(parallel.KERNEL_WORKERS_ENV, "many")
-        assert parallel.resolve_kernel_workers() == 1
-        monkeypatch.setenv(parallel.KERNEL_WORKERS_ENV, "0")
-        assert parallel.resolve_kernel_workers() == 1
+        monkeypatch.delenv(transport.KERNEL_WORKERS_ENV, raising=False)
+        assert transport.resolve_kernel_workers() == 1
+        monkeypatch.setenv(transport.KERNEL_WORKERS_ENV, "many")
+        assert transport.resolve_kernel_workers() == 1
+        monkeypatch.setenv(transport.KERNEL_WORKERS_ENV, "0")
+        assert transport.resolve_kernel_workers() == 1
 
     def test_invalid_explicit_count_rejected(self):
         with pytest.raises(ValueError, match="kernel_workers"):
-            parallel.resolve_kernel_workers(0)
+            transport.resolve_kernel_workers(0)
 
 
 class TestSharedExport:
@@ -179,15 +180,9 @@ class TestConsumerBitIdentity:
 
     def test_graph_level_kernels_identical(self):
         graph = random_regular(200, 4, np.random.default_rng(9))
-        assert graph.power(2, backend="csr") == graph.power(
-            2, backend="csr", kernel_workers=2
-        )
-        assert graph.diameter(backend="csr") == graph.diameter(
-            backend="csr", kernel_workers=2
-        )
-        assert graph.girth(backend="csr") == graph.girth(
-            backend="csr", kernel_workers=2
-        )
+        assert graph.power(2) == graph.power(2, kernel_workers=2)
+        assert graph.diameter() == graph.diameter(kernel_workers=2)
+        assert graph.girth() == graph.girth(kernel_workers=2)
 
 
 class TestEnvDefaultPath:
@@ -197,7 +192,7 @@ class TestEnvDefaultPath:
         # channel.  Identical output, per the contract.
         graph = grid_graph(10, 13)
         serial = graph.csr().all_ball_sizes(None, chunk_size=9)
-        monkeypatch.setenv(parallel.KERNEL_WORKERS_ENV, "2")
+        monkeypatch.setenv(transport.KERNEL_WORKERS_ENV, "2")
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         sharded = graph.csr().all_ball_sizes(None, chunk_size=9)
         assert _bytes(serial) == _bytes(sharded)

@@ -268,14 +268,6 @@ class TestLddExecutionBackend:
         assert partitioned.deleted == local.deleted
         assert partitioned.clusters == local.clusters
 
-    def test_mpc_requires_the_csr_backend(self):
-        graph = grid_graph(4, 4)
-        params = LddParams.practical(0.3, graph.n)
-        with pytest.raises(ValueError, match="csr"):
-            chang_li_ldd(
-                graph, params, seed=1, backend="python", execution_backend="mpc"
-            )
-
 
 class TestMpcCommScenario:
     def test_ci_budget_point_runs_and_verifies_identity(self):

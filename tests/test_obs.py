@@ -322,7 +322,7 @@ class TestOverheadGuard:
         graph = grid_graph(40, 40)
 
         def run_ldd():
-            return low_diameter_decomposition(graph, eps=0.3, seed=0, backend="csr")
+            return low_diameter_decomposition(graph, eps=0.3, seed=0)
 
         run_ldd()  # warm caches outside both measurements
         with obs.collect() as col:

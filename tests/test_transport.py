@@ -161,10 +161,3 @@ class TestRunOrdered:
     def test_results_come_back_in_task_order(self):
         out = transport.run_ordered(2, _double, [(i,) for i in range(7)])
         assert out == [2 * i for i in range(7)]
-
-    def test_reexports_reach_the_kernel_layer(self):
-        # The extraction keeps repro.graphs.parallel as the public
-        # surface the runner/CLI import from.
-        assert parallel.KERNEL_WORKERS_ENV == transport.KERNEL_WORKERS_ENV
-        assert parallel.resolve_kernel_workers is transport.resolve_kernel_workers
-        assert parallel.run_ordered is transport.run_ordered
