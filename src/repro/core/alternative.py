@@ -93,9 +93,8 @@ def alternative_packing(
     ledger.merge_parallel(prep_ledgers, "ensemble-ldd")
 
     # -- Weighted LDD on w'(v) = w(v) · selections(v). ------------------
-    reweighted = [
-        instance.weights[v] * selections[v] for v in range(n)
-    ]
+    weights = instance.weights.tolist()
+    reweighted = [weights[v] * selections[v] for v in range(n)]
     params = LddParams.practical(eps, ntilde)
     weighted = chang_li_ldd(
         graph, params, seed=rngs[count], weights=reweighted

@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.artifacts.cache import SolveCache
 from repro.core.carve import grow_and_carve_covering
 from repro.core.params import CoveringParams
@@ -143,26 +145,30 @@ def chang_li_covering(
 
     # -- Classify every constraint: satisfied / zone / residual. -------
     zones = [set(c) for c in graph.connected_components(within=removed)]
-    zone_of: Dict[int, int] = {}
+    # Per variable: its zone, -1 in the residual graph, -2 once fixed.
+    label = np.full(n, -1, dtype=np.intp)
     for zidx, zone in enumerate(zones):
-        for v in zone:
-            zone_of[v] = zidx
-    zone_edges: Dict[int, List[int]] = {}
-    residual_edges: List[int] = []
-    for j, con in enumerate(instance.constraints):
-        if con.value(fixed_ones) >= con.bound - FEASIBILITY_TOL:
-            continue  # satisfied by Phase-1 fixing
-        support = set(con.coefficients) - fixed_ones
-        if support <= remaining:
-            residual_edges.append(j)
-            continue
-        zone_ids = {zone_of.get(v) for v in support}
-        require(
-            len(zone_ids) == 1 and None not in zone_ids,
-            f"constraint {j} spans zones/residual without being satisfied "
-            "— carve isolation invariant broken",
+        label[list(zone)] = zidx
+    label[list(fixed_ones)] = -2
+    rows, labels = instance.entry_rows(), label[instance.indices]
+    unsatisfied = instance.row_loads(fixed_ones) < instance.bounds - FEASIBILITY_TOL
+    free = unsatisfied[rows] & (labels != -2)
+    in_zone = free & (labels >= 0)
+    zoned = instance.row_sums(in_zone) > 0
+    residual_edges = np.flatnonzero(unsatisfied & ~zoned).tolist()
+    # A zone constraint's free variables must all lie in that one zone.
+    zone_of = np.full(instance.m, -1, dtype=np.intp)
+    zone_of[rows[in_zone]] = labels[in_zone]
+    stray = free & (labels != zone_of[rows])
+    broken = np.flatnonzero(zoned & (instance.row_sums(stray) > 0))
+    if len(broken):
+        raise ValueError(
+            f"constraint {broken[0]} spans zones/residual without being satisfied "
+            "— carve isolation invariant broken"
         )
-        zone_edges.setdefault(next(iter(zone_ids)), []).append(j)
+    zone_edges: Dict[int, List[int]] = {}
+    for j in np.flatnonzero(zoned).tolist():
+        zone_edges.setdefault(int(zone_of[j]), []).append(j)
 
     # -- Zone interiors: optimal completion per zone. -------------------
     max_zone_diameter = 0.0

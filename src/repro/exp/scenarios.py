@@ -1160,7 +1160,8 @@ def _sparse_cover_weight_trial(
         instance, lam, seed=cover_seq, cache=ctx.solve_cache()
     )
     mult = cover.multiplicity(instance.n)
-    bound = sum(mult[v] * instance.weights[v] for v in opt_solution.chosen)
+    weights = instance.weights.tolist()
+    bound = sum(mult[v] * weights[v] for v in opt_solution.chosen)
     weight = instance.weight(chosen)
     return {
         "lam": lam,

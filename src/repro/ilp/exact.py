@@ -15,7 +15,15 @@ fastest applicable solver:
   the complement of a maximum-weight independent set;
 * **set-cover form** (all coefficients 1, bounds 1): branch-and-bound
   on the element with fewest candidates, greedy disjoint lower bound;
-* anything else: generic branch-and-bound.
+* anything else: generic branch-and-bound;
+* **MILP cutover**: a local instance with more active variables than
+  its ``MILP_CUTOVER_*`` size goes to scipy's HiGHS MILP
+  (:func:`repro.ilp.lp.milp_solve`) instead, for every form except
+  matching and vertex cover.
+
+Preprocessing (forced-zero variables, binding rows, form tests) works
+on the instance arrays; only the live local rows become Python lists
+for the bitset, blossom and branch-and-bound solvers.
 
 All solvers are exact; tests cross-validate them against brute force
 and against ``scipy.optimize.milp``.
@@ -37,9 +45,10 @@ from typing import (
     TYPE_CHECKING,
 )
 
+import numpy as np
+
 from repro.ilp.instance import (
     FEASIBILITY_TOL,
-    Constraint,
     CoveringInstance,
     PackingInstance,
 )
@@ -77,15 +86,27 @@ def _solve_via_milp(sub, kind: str) -> ExactSolution:
     # Canonicalize: drop variables the MILP set arbitrarily (zero weight
     # and not needed) — packing stays feasible when variables are
     # dropped; for covering keep anything touching a constraint.
+    positive = (sub.weights > 0).tolist()
     if kind == "pack":
-        chosen = {v for v in chosen if sub.weights[v] > 0}
+        chosen = {v for v in chosen if positive[v]}
     else:
-        relevant = {v for con in sub.constraints for v in con.coefficients}
-        chosen = {v for v in chosen if sub.weights[v] > 0 or v in relevant}
+        relevant = set(sub.indices.tolist())
+        chosen = {v for v in chosen if positive[v] or v in relevant}
     weight = sub.weight(chosen)
     return ExactSolution(weight=weight, chosen=frozenset(chosen))
 
 
+def _row_lists(inst) -> Tuple[List[List[int]], List[List[float]]]:
+    """The rows of ``inst`` as Python lists: columns and coefficients."""
+    ptr = inst.indptr.tolist()
+    cols, vals = inst.indices.tolist(), inst.data.tolist()
+    spans = list(zip(ptr[:-1], ptr[1:], strict=True))
+    return [cols[a:b] for a, b in spans], [vals[a:b] for a, b in spans]
+
+
+def _all_ones(inst) -> bool:
+    """Every coefficient equals one (within tolerance)."""
+    return bool(np.all(np.abs(inst.data - 1.0) <= FEASIBILITY_TOL))
 
 
 # ----------------------------------------------------------------------
@@ -219,52 +240,6 @@ def solve_mwis(graph, weights: Optional[Sequence[float]] = None) -> ExactSolutio
 
 
 # ----------------------------------------------------------------------
-# Structure detection
-# ----------------------------------------------------------------------
-def _forced_zero_vars(instance: PackingInstance) -> Set[int]:
-    """Variables that no feasible packing solution can select."""
-    forced: Set[int] = set()
-    for con in instance.constraints:
-        for v, coeff in con.coefficients.items():
-            if coeff > con.bound + FEASIBILITY_TOL:
-                forced.add(v)
-    return forced
-
-
-def _is_conflict_form(constraints: Sequence[Constraint]) -> bool:
-    """All-ones coefficients with unit bounds: "choose <= 1 per support"."""
-    for con in constraints:
-        if abs(con.bound - 1.0) > FEASIBILITY_TOL:
-            return False
-        for coeff in con.coefficients.values():
-            if abs(coeff - 1.0) > FEASIBILITY_TOL:
-                return False
-    return True
-
-
-def _is_unit_covering_form(constraints: Sequence[Constraint]) -> bool:
-    """All-ones coefficients with bounds <= 1 (set-cover shape)."""
-    for con in constraints:
-        if con.bound > 1.0 + FEASIBILITY_TOL:
-            return False
-        for coeff in con.coefficients.values():
-            if abs(coeff - 1.0) > FEASIBILITY_TOL:
-                return False
-    return True
-
-
-def _max_constraint_membership(
-    constraints: Sequence[Constraint], active: Set[int]
-) -> int:
-    count: Dict[int, int] = {}
-    for con in constraints:
-        for v in con.coefficients:
-            if v in active:
-                count[v] = count.get(v, 0) + 1
-    return max(count.values(), default=0)
-
-
-# ----------------------------------------------------------------------
 # Packing dispatcher
 # ----------------------------------------------------------------------
 def solve_packing_exact(
@@ -279,95 +254,76 @@ def solve_packing_exact(
     *original* variable indices.
     """
     if subset is None:
-        sub = instance
         key_subset: FrozenSet[int] = frozenset(range(instance.n))
     else:
         key_subset = frozenset(subset)
-        sub = instance.restrict(key_subset)
-    key = ("pack", _fingerprint(instance), key_subset)
+    key = ("pack", instance.fingerprint(), key_subset)
     if cache is not None:
         found = cache.lookup(key)
         if found is not None:
             return found
-
-    forced_zero = _forced_zero_vars(sub)
-    active = {
-        v
-        for v in key_subset
-        if sub.weights[v] > 0 and v not in forced_zero
-    }
-    # Drop constraints that cannot bind over active variables.
-    live_constraints = []
-    for con in sub.constraints:
-        coeffs = {v: c for v, c in con.coefficients.items() if v in active}
-        if not coeffs:
-            continue
-        if sum(coeffs.values()) <= con.bound + FEASIBILITY_TOL:
-            continue
-        live_constraints.append(Constraint(coeffs, con.bound))
-
-    if not live_constraints:
-        chosen = frozenset(active)
-        solution = ExactSolution(instance.weight(chosen), chosen)
-    elif _is_conflict_form(live_constraints):
-        if _max_constraint_membership(live_constraints, active) <= 2:
-            solution = _solve_matching_form(sub, active, live_constraints)
-        elif (
-            MILP_CUTOVER_PACKING is not None
-            and len(active) > MILP_CUTOVER_PACKING
-        ):
-            solution = _solve_via_milp(
-                PackingInstance(
-                    sub.weights, live_constraints, name=sub.name
-                ),
-                "pack",
-            )
-        else:
-            solution = _solve_conflict_form(sub, active, live_constraints)
-    elif (
-        MILP_CUTOVER_PACKING_GENERAL is not None
-        and len(active) > MILP_CUTOVER_PACKING_GENERAL
-    ):
-        solution = _solve_via_milp(
-            PackingInstance(sub.weights, live_constraints, name=sub.name),
-            "pack",
-        )
-    else:
-        solution = _solve_packing_bnb(sub, active, live_constraints)
+    sub = instance if subset is None else instance.restrict(key_subset)
+    solution = _solve_packing_dispatch(sub, key_subset)
     if cache is not None:
         cache.store(key, solution)
     return solution
 
 
-def _fingerprint(instance) -> int:
-    """Content fingerprint (memoized on the instance itself)."""
-    return instance.fingerprint()
-
-
-def _solve_conflict_form(
-    sub: PackingInstance, active: Set[int], constraints: Sequence[Constraint]
+def _solve_packing_dispatch(
+    sub: PackingInstance, candidates: FrozenSet[int]
 ) -> ExactSolution:
+    # A coefficient above its row's bound forces its variable to zero.
+    over = sub.data > sub.bounds[sub.entry_rows()] + FEASIBILITY_TOL
+    usable = sub.weights > 0
+    usable[sub.indices[over]] = False
+    flags = usable.tolist()
+    active = {v for v in candidates if flags[v]}
+    # Keep only the rows that can still bind over active variables.
+    entries = usable[sub.indices]
+    binding = sub.row_sums(entries, sub.data) > sub.bounds + FEASIBILITY_TOL
+    live = sub.select(binding, entries, sub.bounds, sub.weights, sub.name)
+
+    if not live.m:
+        chosen = frozenset(active)
+        return ExactSolution(sub.weight(chosen), chosen)
+    conflict_form = _all_ones(live) and bool(
+        np.all(np.abs(live.bounds - 1.0) <= FEASIBILITY_TOL)
+    )
+    if conflict_form:
+        if np.bincount(live.indices).max() <= 2:
+            return _solve_matching_form(live, active)
+        if MILP_CUTOVER_PACKING is not None and len(active) > MILP_CUTOVER_PACKING:
+            return _solve_via_milp(live, "pack")
+        return _solve_conflict_form(live, active)
+    if (
+        MILP_CUTOVER_PACKING_GENERAL is not None
+        and len(active) > MILP_CUTOVER_PACKING_GENERAL
+    ):
+        return _solve_via_milp(live, "pack")
+    return _solve_packing_bnb(live, active)
+
+
+def _solve_conflict_form(live: PackingInstance, active: Set[int]) -> ExactSolution:
     """Conflict-form packing as MWIS on the conflict graph."""
+    rows = _row_lists(live)[0]
     variables = sorted(active)
     index = {v: i for i, v in enumerate(variables)}
     adjacency = [0] * len(variables)
-    for con in constraints:
-        members = [index[v] for v in con.coefficients if v in index]
+    for row in rows:
+        members = [index[v] for v in row if v in index]
         for i, a in enumerate(members):
             for b in members[i + 1:]:
                 adjacency[a] |= 1 << b
                 adjacency[b] |= 1 << a
-    weights = [sub.weights[v] for v in variables]
-    weight, mask = max_weight_independent_set(adjacency, weights)
+    w = live.weights.tolist()
+    weight, mask = max_weight_independent_set(adjacency, [w[v] for v in variables])
     chosen = frozenset(
         variables[i] for i in range(len(variables)) if (mask >> i) & 1
     )
     return ExactSolution(weight=weight, chosen=chosen)
 
 
-def _solve_matching_form(
-    sub: PackingInstance, active: Set[int], constraints: Sequence[Constraint]
-) -> ExactSolution:
+def _solve_matching_form(live: PackingInstance, active: Set[int]) -> ExactSolution:
     """Conflict form with <= 2 memberships per variable: blossom matching.
 
     Build a graph whose nodes are constraints (plus a private stub node
@@ -379,17 +335,19 @@ def _solve_matching_form(
     """
     import networkx as nx
 
+    rows = _row_lists(live)[0]
     membership: Dict[int, List[int]] = {v: [] for v in active}
-    for j, con in enumerate(constraints):
-        for v in con.coefficients:
+    for j, row in enumerate(rows):
+        for v in row:
             if v in membership:
                 membership[v].append(j)
     g = nx.Graph()
-    stub = itertools.count(len(constraints))
+    stub = itertools.count(len(rows))
+    weights = live.weights.tolist()
     best_between: Dict[Tuple[int, int], Tuple[float, int]] = {}
     unconstrained = {v for v, cons in membership.items() if not cons}
     for v, cons in membership.items():
-        w = sub.weights[v]
+        w = weights[v]
         if len(cons) == 0:
             continue  # free variables: always selected, added below
         if len(cons) == 1:
@@ -408,12 +366,10 @@ def _solve_matching_form(
     chosen = frozenset(g.edges[e]["variable"] for e in matching) | frozenset(
         unconstrained
     )
-    return ExactSolution(weight=sub.weight(chosen), chosen=chosen)
+    return ExactSolution(weight=live.weight(chosen), chosen=chosen)
 
 
-def _solve_packing_bnb(
-    sub: PackingInstance, active: Set[int], constraints: Sequence[Constraint]
-) -> ExactSolution:
+def _solve_packing_bnb(live: PackingInstance, active: Set[int]) -> ExactSolution:
     """Generic packing branch-and-bound (arbitrary A, b >= 0).
 
     Variables ordered by weight descending; the admissible bound is the
@@ -421,23 +377,22 @@ def _solve_packing_bnb(
     individually.  Exponential in the worst case — local instances in
     the experiments keep this path small.
     """
-    variables = sorted(active, key=lambda v: -sub.weights[v])
-    weights = [sub.weights[v] for v in variables]
+    rows, coeffs = _row_lists(live)
+    bounds = live.bounds.tolist()
+    w = live.weights.tolist()
+    variables = sorted(active, key=lambda v: -w[v])
+    weights = [w[v] for v in variables]
     suffix = [0.0] * (len(variables) + 1)
     for i in range(len(variables) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
-    rows: List[Dict[int, float]] = []
-    bounds: List[float] = []
     var_rows: Dict[int, List[Tuple[int, float]]] = {v: [] for v in variables}
-    for j, con in enumerate(constraints):
-        rows.append(dict(con.coefficients))
-        bounds.append(con.bound)
-        for v, c in con.coefficients.items():
+    for j, (row, cs) in enumerate(zip(rows, coeffs, strict=True)):
+        for v, c in zip(row, cs, strict=True):
             if v in var_rows:
                 var_rows[v].append((j, c))
     best_weight = -1.0
     best_set: Set[int] = set()
-    usage = [0.0] * len(constraints)
+    usage = [0.0] * len(rows)
     current: Set[int] = set()
 
     def fits(v: int) -> bool:
@@ -491,98 +446,70 @@ def solve_covering_exact(
         key_subset = frozenset(range(instance.n)) - fixed
     else:
         key_subset = frozenset(subset) - fixed
-    sub = instance.restrict(key_subset, fixed_ones=fixed)
-    key = ("cover", _fingerprint(instance), key_subset, fixed)
+    key = ("cover", instance.fingerprint(), key_subset, fixed)
     if cache is not None:
         found = cache.lookup(key)
         if found is not None:
             return found
+    sub = instance.restrict(key_subset, fixed_ones=fixed)
     solution = _solve_covering_dispatch(sub, key_subset)
     if cache is not None:
         cache.store(key, solution)
     return solution
 
 
-def solve_covering_subinstance(sub: CoveringInstance) -> ExactSolution:
-    """Solve an already-restricted covering instance exactly."""
-    return _solve_covering_dispatch(sub, set(range(sub.n)))
-
-
 def _solve_covering_dispatch(
-    sub: CoveringInstance, allowed: Set[int]
+    sub: CoveringInstance, allowed: FrozenSet[int]
 ) -> ExactSolution:
-    constraints = [c for c in sub.constraints if c.bound > FEASIBILITY_TOL]
-    if not constraints:
-        return ExactSolution(weight=0.0, chosen=frozenset())
+    """Solve a restricted instance (every row has a positive bound)."""
     # Free variables (zero weight) are always worth taking.
-    free = {
-        v
-        for con in constraints
-        for v in con.coefficients
-        if sub.weights[v] == 0 and v in allowed
-    }
-    if free:
-        reduced = [c.reduce_by_fixed(free) for c in constraints]
-        constraints = [c for c in reduced if c.bound > FEASIBILITY_TOL]
-        if not constraints:
-            return ExactSolution(weight=0.0, chosen=frozenset(free))
-    for con in constraints:
-        available = sum(con.coefficients.values())
-        if available < con.bound - FEASIBILITY_TOL:
-            raise ValueError(
-                "restricted covering instance is unsatisfiable: "
-                f"constraint needs {con.bound}, support provides {available}"
-            )
-    active_vars = {v for c in constraints for v in c.coefficients}
-    if _is_unit_covering_form(constraints):
-        supports = [set(c.coefficients) for c in constraints]
-        if all(len(s) <= 2 for s in supports):
-            base = _solve_vertex_cover_form(sub, constraints)
-        elif (
-            MILP_CUTOVER_COVERING is not None
-            and len(active_vars) > MILP_CUTOVER_COVERING
-        ):
-            base = _solve_via_milp(
-                CoveringInstance(sub.weights, constraints, name=sub.name),
-                "cover",
-            )
+    zero = (sub.weights == 0).tolist()
+    free = {v for v in sub.indices.tolist() if zero[v] and v in allowed}
+    live = sub.complete(free)
+    if not live.m:
+        return ExactSolution(weight=0.0, chosen=frozenset(free))
+    available = live.row_loads(range(live.n))
+    short = np.flatnonzero(available < live.bounds - FEASIBILITY_TOL)
+    if len(short):
+        j = short[0]
+        raise ValueError(
+            "restricted covering instance is unsatisfiable: "
+            f"constraint needs {live.bounds[j]}, support provides {available[j]}"
+        )
+    n_active = len(np.unique(live.indices))
+    if _all_ones(live) and bool(np.all(live.bounds <= 1.0 + FEASIBILITY_TOL)):
+        if bool(np.all(np.diff(live.indptr) <= 2)):
+            base = _solve_vertex_cover_form(live)
+        elif MILP_CUTOVER_COVERING is not None and n_active > MILP_CUTOVER_COVERING:
+            base = _solve_via_milp(live, "cover")
         else:
-            base = _solve_set_cover_bnb(sub, constraints)
+            base = _solve_set_cover_bnb(live)
     elif (
         MILP_CUTOVER_COVERING_GENERAL is not None
-        and len(active_vars) > MILP_CUTOVER_COVERING_GENERAL
+        and n_active > MILP_CUTOVER_COVERING_GENERAL
     ):
-        base = _solve_via_milp(
-            CoveringInstance(sub.weights, constraints, name=sub.name),
-            "cover",
-        )
+        base = _solve_via_milp(live, "cover")
     else:
-        base = _solve_covering_bnb(sub, constraints)
+        base = _solve_covering_bnb(live)
     return ExactSolution(weight=base.weight, chosen=base.chosen | frozenset(free))
 
 
-def _solve_vertex_cover_form(
-    sub: CoveringInstance, constraints: Sequence[Constraint]
-) -> ExactSolution:
+def _solve_vertex_cover_form(sub: CoveringInstance) -> ExactSolution:
     """Supports of size <= 2: minimum-weight VC = complement of MWIS."""
-    forced = {
-        next(iter(c.coefficients))
-        for c in constraints
-        if len(c.coefficients) == 1
-    }
-    pair_constraints = [
-        c for c in constraints if len(c.coefficients) == 2
-        and not (set(c.coefficients) & forced)
-    ]
-    variables = sorted({v for c in pair_constraints for v in c.coefficients})
+    rows = _row_lists(sub)[0]
+    forced = {row[0] for row in rows if len(row) == 1}
+    pairs = [row for row in rows if len(row) == 2 and not (set(row) & forced)]
+    variables = sorted({v for row in pairs for v in row})
     index = {v: i for i, v in enumerate(variables)}
     adjacency = [0] * len(variables)
-    for c in pair_constraints:
-        a, b = sorted(c.coefficients)
+    for row in pairs:
+        a, b = sorted(row)
         adjacency[index[a]] |= 1 << index[b]
         adjacency[index[b]] |= 1 << index[a]
-    weights = [sub.weights[v] for v in variables]
-    mis_weight, mis_mask = max_weight_independent_set(adjacency, weights)
+    w = sub.weights.tolist()
+    mis_weight, mis_mask = max_weight_independent_set(
+        adjacency, [w[v] for v in variables]
+    )
     cover = {
         variables[i] for i in range(len(variables)) if not (mis_mask >> i) & 1
     }
@@ -590,17 +517,18 @@ def _solve_vertex_cover_form(
     return ExactSolution(weight=sub.weight(cover), chosen=frozenset(cover))
 
 
-def _solve_set_cover_bnb(
-    sub: CoveringInstance, constraints: Sequence[Constraint]
-) -> ExactSolution:
+def _solve_set_cover_bnb(sub: CoveringInstance) -> ExactSolution:
     """Unit-coefficient covering: branch on the hardest element."""
-    elements = [frozenset(c.coefficients) for c in constraints]
+    # Built through a dict: the branching and greedy tie-breaks follow
+    # each support's iteration order, which this keeps fixed.
+    elements = [frozenset(dict.fromkeys(row)) for row in _row_lists(sub)[0]]
+    weights = sub.weights.tolist()
     candidates: Dict[int, Set[int]] = {}
     for e, support in enumerate(elements):
         for v in support:
             candidates.setdefault(v, set()).add(e)
     # Initial upper bound: greedy weighted set cover.
-    best_set = _greedy_unit_cover(sub, elements)
+    best_set = _greedy_unit_cover(weights, elements)
     best_weight = sub.weight(best_set)
     chosen: Set[int] = set()
 
@@ -611,7 +539,7 @@ def _solve_set_cover_bnb(
             support = elements[e]
             if support & blocked:
                 continue
-            bound += min(sub.weights[v] for v in support)
+            bound += min(weights[v] for v in support)
             blocked |= support
         return bound
 
@@ -625,13 +553,11 @@ def _solve_set_cover_bnb(
         if value + lower_bound(list(uncovered)) >= best_weight - FEASIBILITY_TOL:
             return
         pivot = min(uncovered, key=lambda e: len(elements[e] - chosen))
-        options = sorted(
-            elements[pivot] - chosen, key=lambda v: sub.weights[v]
-        )
+        options = sorted(elements[pivot] - chosen, key=lambda v: weights[v])
         for v in options:
             newly = candidates[v] & uncovered
             chosen.add(v)
-            recurse(uncovered - newly, value + sub.weights[v])
+            recurse(uncovered - newly, value + weights[v])
             chosen.remove(v)
 
     recurse(set(range(len(elements))), 0.0)
@@ -639,7 +565,7 @@ def _solve_set_cover_bnb(
 
 
 def _greedy_unit_cover(
-    sub: CoveringInstance, elements: Sequence[FrozenSet[int]]
+    weights: Sequence[float], elements: Sequence[FrozenSet[int]]
 ) -> Set[int]:
     uncovered = set(range(len(elements)))
     chosen: Set[int] = set()
@@ -652,7 +578,7 @@ def _greedy_unit_cover(
             gain = len(coverage[v] & uncovered)
             if gain == 0:
                 return float("inf")
-            cost = sub.weights[v]
+            cost = weights[v]
             return cost / gain if cost > 0 else 0.0
 
         v = min(coverage, key=score)
@@ -663,20 +589,19 @@ def _greedy_unit_cover(
     return chosen
 
 
-def _solve_covering_bnb(
-    sub: CoveringInstance, constraints: Sequence[Constraint]
-) -> ExactSolution:
+def _solve_covering_bnb(sub: CoveringInstance) -> ExactSolution:
     """Generic covering branch-and-bound (arbitrary A, b >= 0)."""
-    variables = sorted({v for c in constraints for v in c.coefficients})
+    rows, coeffs = _row_lists(sub)
+    weights = sub.weights.tolist()
+    variables = sorted({v for row in rows for v in row})
     var_rows: Dict[int, List[Tuple[int, float]]] = {v: [] for v in variables}
-    bounds = [c.bound for c in constraints]
-    for j, c in enumerate(constraints):
-        for v, coeff in c.coefficients.items():
+    for j, (row, cs) in enumerate(zip(rows, coeffs, strict=True)):
+        for v, coeff in zip(row, cs, strict=True):
             var_rows[v].append((j, coeff))
     # Upper bound: take everything (validated satisfiable by caller).
     best_set = set(variables)
     best_weight = sub.weight(best_set)
-    deficits = list(bounds)
+    deficits = sub.bounds.tolist()
     chosen: Set[int] = set()
 
     def recurse(remaining: List[int], value: float) -> None:
@@ -704,7 +629,7 @@ def _solve_covering_bnb(
         for j, c in var_rows[v]:
             deficits[j] -= c
         chosen.add(v)
-        recurse(rest, value + sub.weights[v])
+        recurse(rest, value + weights[v])
         chosen.remove(v)
         for j, c in var_rows[v]:
             deficits[j] += c
@@ -713,7 +638,7 @@ def _solve_covering_bnb(
 
     ordered = sorted(
         variables,
-        key=lambda v: -sum(c for _, c in var_rows[v]) / (sub.weights[v] + 1e-12),
+        key=lambda v: -sum(c for _, c in var_rows[v]) / (weights[v] + 1e-12),
     )
     recurse(ordered, 0.0)
     return ExactSolution(weight=best_weight, chosen=frozenset(best_set))

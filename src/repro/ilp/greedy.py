@@ -9,7 +9,7 @@ objective-value baseline, not a LOCAL algorithm).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.graphs.graph import Graph
 from repro.ilp.instance import (
@@ -19,20 +19,33 @@ from repro.ilp.instance import (
 )
 
 
+def _variable_rows(
+    instance: Union[PackingInstance, CoveringInstance],
+) -> Dict[int, List[Tuple[int, float]]]:
+    """Variable -> its ``(row, coefficient)`` entries, in stored order."""
+    rows: Dict[int, List[Tuple[int, float]]] = {}
+    for j, v, c in zip(
+        instance.entry_rows().tolist(),
+        instance.indices.tolist(),
+        instance.data.tolist(),
+        strict=True,
+    ):
+        rows.setdefault(v, []).append((j, c))
+    return rows
+
+
 def greedy_packing(instance: PackingInstance) -> Set[int]:
     """Insert variables in decreasing weight while feasibility allows.
 
     Runs in O(n log n + nnz); produces a maximal feasible solution.
     """
     usage = [0.0] * instance.m
-    rows: Dict[int, List[Tuple[int, float]]] = {}
-    for j, con in enumerate(instance.constraints):
-        for v, c in con.coefficients.items():
-            rows.setdefault(v, []).append((j, c))
+    rows = _variable_rows(instance)
     chosen: Set[int] = set()
-    bounds = [con.bound for con in instance.constraints]
-    for v in sorted(range(instance.n), key=lambda v: -instance.weights[v]):
-        if instance.weights[v] <= 0:
+    bounds = instance.bounds.tolist()
+    weights = instance.weights.tolist()
+    for v in sorted(range(instance.n), key=lambda v: -weights[v]):
+        if weights[v] <= 0:
             continue
         entries = rows.get(v, [])
         if all(usage[j] + c <= bounds[j] + FEASIBILITY_TOL for j, c in entries):
@@ -67,11 +80,9 @@ def greedy_covering(instance: CoveringInstance) -> Set[int]:
     coverage``; ln(m)-approximate for set cover and a safe upper bound
     everywhere.  Raises ``ValueError`` on unsatisfiable instances.
     """
-    deficits = [con.bound for con in instance.constraints]
-    rows: Dict[int, List[Tuple[int, float]]] = {}
-    for j, con in enumerate(instance.constraints):
-        for v, c in con.coefficients.items():
-            rows.setdefault(v, []).append((j, c))
+    deficits = instance.bounds.tolist()
+    rows = _variable_rows(instance)
+    weights = instance.weights.tolist()
     chosen: Set[int] = set()
     candidates = set(rows)
 
@@ -87,7 +98,7 @@ def greedy_covering(instance: CoveringInstance) -> Set[int]:
             g = gain(v)
             if g <= 0:
                 continue
-            score = instance.weights[v] / g if instance.weights[v] > 0 else 0.0
+            score = weights[v] / g if weights[v] > 0 else 0.0
             if score < best_score:
                 best_score = score
                 best_v = v

@@ -23,10 +23,14 @@ blow-up the paper's remark implies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from typing import List, Sequence, Set, Tuple, Type, TypeVar, Union
+
+import numpy as np
 
 from repro.ilp.instance import Constraint, CoveringInstance, PackingInstance
 from repro.util.validation import require
+
+_I = TypeVar("_I", PackingInstance, CoveringInstance)
 
 
 def _bit_multipliers(upper: int) -> List[int]:
@@ -95,31 +99,43 @@ class IntegerReduction:
 
 
 def _expand(
+    cls: Type[_I],
     weights: Sequence[float],
     constraints: Sequence[Constraint],
     upper_bounds: Sequence[int],
-) -> Tuple[List[float], List[Constraint], List[List[Tuple[int, int]]]]:
+    name: str,
+) -> IntegerReduction:
     require(
         len(weights) == len(upper_bounds),
         "one upper bound per variable required",
     )
-    bit_weights: List[float] = []
+    base = cls(weights, constraints)
     layout: List[List[Tuple[int, int]]] = []
-    for v, (w, s) in enumerate(zip(weights, upper_bounds, strict=True)):
-        require(w >= 0, f"weight of variable {v} must be >= 0")
-        bits = []
-        for mult in _bit_multipliers(int(s)):
-            bits.append((len(bit_weights), mult))
-            bit_weights.append(w * mult)
-        layout.append(bits)
-    bit_constraints: List[Constraint] = []
-    for con in constraints:
-        coeffs: Dict[int, float] = {}
-        for v, c in con.coefficients.items():
-            for idx, mult in layout[v]:
-                coeffs[idx] = c * mult
-        bit_constraints.append(Constraint(coeffs, con.bound))
-    return bit_weights, bit_constraints, layout
+    multipliers: List[int] = []
+    for s in upper_bounds:
+        bits = _bit_multipliers(int(s))
+        layout.append([(len(multipliers) + k, mult) for k, mult in enumerate(bits)])
+        multipliers.extend(bits)
+    scale = np.array(multipliers, dtype=np.float64)
+    width = np.array([len(bits) for bits in layout], dtype=np.intp)
+    first = np.cumsum(width) - width
+    # Entry (j, v, c) becomes (j, bit, c * multiplier) for each bit of v.
+    reps = width[base.indices]
+    ends = np.cumsum(reps)
+    offsets = np.arange(reps.sum()) - np.repeat(ends - reps, reps)
+    indices = np.repeat(first[base.indices], reps) + offsets
+    instance = cls.from_csr(
+        np.repeat(base.weights, width) * scale,
+        np.concatenate(([0], ends))[base.indptr],
+        indices,
+        np.repeat(base.data, reps) * scale[indices],
+        base.bounds,
+        name=name,
+    )
+    return IntegerReduction(
+        instance=instance,
+        bit_layout=tuple(tuple(bits) for bits in layout),
+    )
 
 
 def integer_packing_to_binary(
@@ -129,14 +145,7 @@ def integer_packing_to_binary(
     name: str = "integer-packing",
 ) -> IntegerReduction:
     """Reduce ``max w·x, Ax <= b, 0 <= x_i <= s_i`` to binary packing."""
-    bit_weights, bit_constraints, layout = _expand(
-        weights, constraints, upper_bounds
-    )
-    instance = PackingInstance(bit_weights, bit_constraints, name=name)
-    return IntegerReduction(
-        instance=instance,
-        bit_layout=tuple(tuple(bits) for bits in layout),
-    )
+    return _expand(PackingInstance, weights, constraints, upper_bounds, name)
 
 
 def integer_covering_to_binary(
@@ -146,11 +155,4 @@ def integer_covering_to_binary(
     name: str = "integer-covering",
 ) -> IntegerReduction:
     """Reduce ``min w·x, Ax >= b, 0 <= x_i <= s_i`` to binary covering."""
-    bit_weights, bit_constraints, layout = _expand(
-        weights, constraints, upper_bounds
-    )
-    instance = CoveringInstance(bit_weights, bit_constraints, name=name)
-    return IntegerReduction(
-        instance=instance,
-        bit_layout=tuple(tuple(bits) for bits in layout),
-    )
+    return _expand(CoveringInstance, weights, constraints, upper_bounds, name)

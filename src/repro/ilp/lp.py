@@ -1,4 +1,4 @@
-"""Fractional LP relaxations and MILP cross-checks via scipy.
+"""Fractional LP relaxations and exact MILP solves via scipy.
 
 Two uses:
 
@@ -6,8 +6,12 @@ Two uses:
   lower-bounds covering optima, giving approximation-ratio certificates
   on instances too large for the exact 0/1 solvers (this mirrors the
   role of [KMW16], which solves the *fractional* problem distributedly).
-* **Cross-validation** — ``milp_solve`` runs scipy's exact HiGHS MILP on
-  small instances to validate our own branch-and-bound solvers in tests.
+* **Exact solves** — ``milp_solve`` runs scipy's exact HiGHS MILP.  The
+  exact dispatcher (:mod:`repro.ilp.exact`) routes local instances above
+  its ``MILP_CUTOVER_*`` sizes here, and tests use it to cross-validate
+  the built-in branch-and-bound solvers.
+
+Both read the instance's canonical CSR matrix, ``instance.csr()``.
 """
 
 from __future__ import annotations
@@ -15,28 +19,11 @@ from __future__ import annotations
 from typing import Set, Tuple, Union
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
 from repro.ilp.instance import CoveringInstance, PackingInstance
 
 Instance = Union[PackingInstance, CoveringInstance]
-
-
-def _constraint_matrix(instance: Instance) -> Tuple[sparse.csr_matrix, np.ndarray]:
-    rows = []
-    cols = []
-    data = []
-    bounds = np.zeros(instance.m)
-    for j, con in enumerate(instance.constraints):
-        bounds[j] = con.bound
-        for v, c in con.coefficients.items():
-            rows.append(j)
-            cols.append(v)
-            data.append(c)
-    matrix = sparse.csr_matrix(
-        (data, (rows, cols)), shape=(instance.m, instance.n)
-    )
-    return matrix, bounds
 
 
 def lp_relaxation_value(instance: Instance) -> float:
@@ -45,8 +32,8 @@ def lp_relaxation_value(instance: Instance) -> float:
     For packing this is an upper bound on the ILP optimum; for covering
     a lower bound.  Raises ``RuntimeError`` if the LP solver fails.
     """
-    matrix, bounds = _constraint_matrix(instance)
-    weights = np.asarray(instance.weights)
+    matrix, bounds = instance.csr(), instance.bounds
+    weights = instance.weights
     if isinstance(instance, PackingInstance):
         res = optimize.linprog(
             -weights,
@@ -71,9 +58,9 @@ def lp_relaxation_value(instance: Instance) -> float:
 
 
 def milp_solve(instance: Instance) -> Tuple[float, Set[int]]:
-    """Exact 0/1 optimum via scipy's HiGHS MILP (test oracle only)."""
-    matrix, bounds = _constraint_matrix(instance)
-    weights = np.asarray(instance.weights)
+    """Exact 0/1 optimum via scipy's HiGHS MILP."""
+    matrix, bounds = instance.csr(), instance.bounds
+    weights = instance.weights
     integrality = np.ones(instance.n)
     var_bounds = optimize.Bounds(0, 1)
     if isinstance(instance, PackingInstance):

@@ -696,9 +696,8 @@ def random_row_sparse_problem(
 ) -> MwuProblem:
     """Generate an ``MwuProblem`` directly in array form.
 
-    The scale scenarios need n = 10⁵..10⁶ instances; building
-    per-constraint dicts at that size would dominate the solve, so this
-    samples the CSR triplets in bulk: ``rows`` (default ``n // 2``)
+    The scale scenarios need n = 10⁵..10⁶ instances, so this samples
+    the CSR triplets in bulk: ``rows`` (default ``n // 2``)
     constraints of ``row_arity`` uniform column draws with integer
     coefficients in [1, 3] (duplicate draws merge additively), integer
     weights in [1, 9], covering bounds 1 / packing bounds in [2, 4].

@@ -10,12 +10,17 @@ returned :class:`ProblemEncoding` carries the decoding map.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type, TypeVar
+
+import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.ilp.instance import Constraint, CoveringInstance, PackingInstance
 from repro.util.validation import require
+
+_I = TypeVar("_I", PackingInstance, CoveringInstance)
 
 
 def _vertex_weights(graph: Graph, weights: Optional[Sequence[float]]) -> List[float]:
@@ -23,6 +28,30 @@ def _vertex_weights(graph: Graph, weights: Optional[Sequence[float]]) -> List[fl
         return [1.0] * graph.n
     require(len(weights) == graph.n, "need one weight per vertex")
     return [float(w) for w in weights]
+
+
+def _unit_rows(
+    cls: Type[_I],
+    weights: Sequence[float],
+    rows: Sequence[Sequence[int]],
+    name: str,
+    bounds: Optional[Sequence[float]] = None,
+) -> _I:
+    """Instance whose rows are the given column lists, coefficients one
+    and bounds one unless given."""
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.fromiter(itertools.chain.from_iterable(rows), np.intp, indptr[-1])
+    bounds = np.ones(len(rows)) if bounds is None else bounds
+    return cls.from_csr(weights, indptr, indices, np.ones(len(indices)), bounds, name)
+
+
+def _incident_edges(graph: Graph) -> List[List[int]]:
+    """Per vertex, the indices of its edges in ``graph.edges()`` order."""
+    incident: List[List[int]] = [[] for _ in range(graph.n)]
+    for i, (u, v) in enumerate(graph.edges()):
+        incident[u].append(i)
+        incident[v].append(i)
+    return incident
 
 
 @dataclass(frozen=True)
@@ -50,10 +79,7 @@ def max_independent_set_ilp(
     distances.
     """
     w = _vertex_weights(graph, weights)
-    constraints = [
-        Constraint({u: 1.0, v: 1.0}, 1.0) for u, v in graph.edges()
-    ]
-    return PackingInstance(w, constraints, name="max-independent-set")
+    return _unit_rows(PackingInstance, w, graph.edges(), "max-independent-set")
 
 
 def max_matching_ilp(
@@ -71,16 +97,8 @@ def max_matching_ilp(
         w = [1.0] * len(edges)
     else:
         w = [float(weights.get(e, weights.get((e[1], e[0]), 1.0))) for e in edges]
-    incident: List[List[int]] = [[] for _ in range(graph.n)]
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
-    constraints = [
-        Constraint({i: 1.0 for i in inc}, 1.0)
-        for inc in incident
-        if inc
-    ]
-    instance = PackingInstance(w, constraints, name="max-matching")
+    rows = [inc for inc in _incident_edges(graph) if inc]
+    instance = _unit_rows(PackingInstance, w, rows, "max-matching")
     return ProblemEncoding(instance=instance, variable_meaning=tuple(edges))
 
 
@@ -90,16 +108,12 @@ def b_matching_ilp(
     """Maximum b-matching: vertex ``v`` may touch ``capacities[v]`` edges."""
     require(len(capacities) == graph.n, "need one capacity per vertex")
     edges = graph.edges()
-    incident: List[List[int]] = [[] for _ in range(graph.n)]
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
-    constraints = [
-        Constraint({i: 1.0 for i in inc}, float(capacities[v]))
-        for v, inc in enumerate(incident)
-        if inc
-    ]
-    instance = PackingInstance([1.0] * len(edges), constraints, name="b-matching")
+    incident = _incident_edges(graph)
+    kept = [v for v, inc in enumerate(incident) if inc]
+    rows = [incident[v] for v in kept]
+    capacity = [float(capacities[v]) for v in kept]
+    w = [1.0] * len(edges)
+    instance = _unit_rows(PackingInstance, w, rows, "b-matching", capacity)
     return ProblemEncoding(instance=instance, variable_meaning=tuple(edges))
 
 
@@ -131,10 +145,7 @@ def min_vertex_cover_ilp(
 ) -> CoveringInstance:
     """MVC as covering: ``x_u + x_v >= 1`` per edge."""
     w = _vertex_weights(graph, weights)
-    constraints = [
-        Constraint({u: 1.0, v: 1.0}, 1.0) for u, v in graph.edges()
-    ]
-    return CoveringInstance(w, constraints, name="min-vertex-cover")
+    return _unit_rows(CoveringInstance, w, graph.edges(), "min-vertex-cover")
 
 
 def min_dominating_set_ilp(
@@ -150,11 +161,8 @@ def min_dominating_set_ilp(
     """
     require(k >= 1, f"k must be >= 1, got {k}")
     w = _vertex_weights(graph, weights)
-    constraints = [
-        Constraint({u: 1.0 for u in graph.ball(v, k)}, 1.0)
-        for v in range(graph.n)
-    ]
-    return CoveringInstance(w, constraints, name=f"min-{k}-dominating-set")
+    balls = [list(graph.ball(v, k)) for v in range(graph.n)]
+    return _unit_rows(CoveringInstance, w, balls, f"min-{k}-dominating-set")
 
 
 def set_cover_ilp(
@@ -169,28 +177,20 @@ def set_cover_ilp(
     if weights is None:
         weights = [1.0] * num_sets
     require(len(weights) == num_sets, "need one weight per set")
-    constraints = []
-    for e, sets in enumerate(elements):
-        coeffs = {int(s): 1.0 for s in sets}
-        require(bool(coeffs), f"element {e} is uncoverable (empty candidate list)")
-        constraints.append(Constraint(coeffs, 1.0))
-    return CoveringInstance(list(weights), constraints, name="set-cover")
+    rows = [list(dict.fromkeys(int(s) for s in sets)) for sets in elements]
+    for e, row in enumerate(rows):
+        require(bool(row), f"element {e} is uncoverable (empty candidate list)")
+    return _unit_rows(CoveringInstance, weights, rows, "set-cover")
 
 
 def min_edge_cover_ilp(graph: Graph) -> ProblemEncoding:
     """Minimum edge cover: select edges so every vertex is touched."""
     edges = graph.edges()
-    incident: List[List[int]] = [[] for _ in range(graph.n)]
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
-    constraints = []
+    incident = _incident_edges(graph)
     for v, inc in enumerate(incident):
         require(bool(inc), f"vertex {v} is isolated: no edge cover exists")
-        constraints.append(Constraint({i: 1.0 for i in inc}, 1.0))
-    instance = CoveringInstance(
-        [1.0] * len(edges), constraints, name="min-edge-cover"
-    )
+    w = [1.0] * len(edges)
+    instance = _unit_rows(CoveringInstance, w, incident, "min-edge-cover")
     return ProblemEncoding(instance=instance, variable_meaning=tuple(edges))
 
 

@@ -119,4 +119,4 @@ class TestWeightEdgeCases:
 
     def test_constraint_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
-            Constraint({0: -1.0}, 1.0)
+            PackingInstance([1.0], [Constraint({0: -1.0}, 1.0)])

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.graphs import erdos_renyi_connected
 from repro.ilp import (
+    FEASIBILITY_TOL,
     Constraint,
     CoveringInstance,
+    MwuProblem,
     PackingInstance,
     max_independent_set_ilp,
     min_dominating_set_ilp,
@@ -17,33 +20,230 @@ from repro.ilp import (
 )
 
 
-class TestConstraint:
-    def test_zero_coefficient_rejected(self):
+def _rows(inst):
+    """The instance's rows as ``(coefficient dict, bound)`` pairs."""
+    ptr = inst.indptr.tolist()
+    cols, vals = inst.indices.tolist(), inst.data.tolist()
+    return [
+        (dict(zip(cols[a:b], vals[a:b], strict=True)), bound)
+        for a, b, bound in zip(ptr[:-1], ptr[1:], inst.bounds.tolist(), strict=True)
+    ]
+
+
+# ----------------------------------------------------------------------
+# Dict-row oracle of the Observation 2.1 / 2.2 restriction semantics.
+# ----------------------------------------------------------------------
+def _reduce(coeffs, bound, fixed):
+    contributed = sum(c for v, c in coeffs.items() if v in fixed)
+    remaining = {v: c for v, c in coeffs.items() if v not in fixed}
+    return remaining, max(0.0, bound - contributed)
+
+
+def _oracle_packing_restrict(rows, keep):
+    out = []
+    for coeffs, bound in rows:
+        clipped = {v: c for v, c in coeffs.items() if v in keep}
+        if clipped:
+            out.append((clipped, bound))
+    return out
+
+
+def _oracle_covering_restrict(rows, keep, fixed):
+    out = []
+    for coeffs, bound in rows:
+        if fixed:
+            coeffs, bound = _reduce(coeffs, bound, fixed)
+        if bound <= FEASIBILITY_TOL or not set(coeffs) <= keep:
+            continue
+        out.append((coeffs, bound))
+    return out
+
+
+def _oracle_restrict_to_edges(rows, edges, fixed):
+    out = []
+    for j in sorted(set(edges)):
+        coeffs, bound = rows[j]
+        if fixed:
+            coeffs, bound = _reduce(coeffs, bound, fixed)
+        if bound > FEASIBILITY_TOL:
+            out.append((coeffs, bound))
+    return out
+
+
+def _random_rows(rng, n):
+    """Rows with clipped-away supports, bounds that fixing exhausts and
+    coefficients above their bound."""
+    rows = []
+    for _ in range(int(rng.integers(0, 7))):
+        size = int(rng.integers(0, n + 1))
+        support = [int(v) for v in rng.permutation(n)[:size]]
+        coeffs = {v: float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0])) for v in support}
+        part = [c for c in coeffs.values() if rng.random() < 0.5]
+        bound = float(rng.choice([0.0, 1.0, 2.5, sum(part)]))
+        rows.append((coeffs, bound))
+    return rows
+
+
+def _random_subset(rng, n):
+    return {int(v) for v in np.flatnonzero(rng.random(n) < 0.5)}
+
+
+def _assert_rows_equal(got, want):
+    assert len(got) == len(want)
+    for (coeffs, bound), (want_coeffs, want_bound) in zip(got, want, strict=True):
+        assert list(coeffs.items()) == list(want_coeffs.items())
+        assert bound == pytest.approx(want_bound, abs=1e-12)
+
+
+class TestRestrictionAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_packing_restrict(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        rows = _random_rows(rng, n)
+        weights = [float(w) for w in rng.integers(0, 5, size=n)]
+        inst = PackingInstance(weights, [Constraint(c, b) for c, b in rows])
+        keep = _random_subset(rng, n)
+        sub = inst.restrict(keep)
+        _assert_rows_equal(_rows(sub), _oracle_packing_restrict(rows, keep))
+        want = [w if v in keep else 0.0 for v, w in enumerate(weights)]
+        assert sub.weights.tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_covering_restrict(self, seed, with_fixed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        rows = _random_rows(rng, n)
+        weights = [float(w) for w in rng.integers(0, 5, size=n)]
+        inst = CoveringInstance(weights, [Constraint(c, b) for c, b in rows])
+        fixed = _random_subset(rng, n) if with_fixed else set()
+        keep = _random_subset(rng, n) - fixed
+        sub = inst.restrict(keep, fixed_ones=fixed)
+        _assert_rows_equal(_rows(sub), _oracle_covering_restrict(rows, keep, fixed))
+        want = [w if v in keep else 0.0 for v, w in enumerate(weights)]
+        assert sub.weights.tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_restrict_to_edges(self, seed, with_fixed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        rows = _random_rows(rng, n)
+        inst = CoveringInstance([1.0] * n, [Constraint(c, b) for c, b in rows])
+        fixed = _random_subset(rng, n) if with_fixed else set()
+        edges = [int(j) for j in rng.integers(0, max(1, len(rows)), size=len(rows))]
+        sub = inst.restrict_to_edges(edges, fixed_ones=fixed)
+        _assert_rows_equal(_rows(sub), _oracle_restrict_to_edges(rows, edges, fixed))
+        assert sub.weights.tolist() == [1.0] * n
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("cls", [PackingInstance, CoveringInstance])
+    @pytest.mark.parametrize(
+        "weights, constraint, match",
+        [
+            ([1, 1], Constraint({0: 0.0}, 1.0), "must be > 0"),
+            ([1, 1], Constraint({0: -2.0}, 1.0), "must be > 0"),
+            ([1, 1], Constraint({0: 1.0}, -1.0), "bound of constraint 0"),
+            ([1, 1], Constraint({2: 1.0}, 1.0), "outside"),
+            ([1, 1], Constraint({-1: 1.0}, 1.0), "outside"),
+            ([1, -1], Constraint({0: 1.0}, 1.0), "weight of variable 1"),
+        ],
+    )
+    def test_constructor_rejects(self, cls, weights, constraint, match):
+        with pytest.raises(ValueError, match=match):
+            cls(weights, [constraint])
+
+    def test_from_csr_rejects_inconsistent_indptr(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            PackingInstance.from_csr([1, 1], [0, 3], [0, 1], [1.0, 1.0], [1.0])
+
+    def test_from_csr_rejects_repeated_variable(self):
+        with pytest.raises(ValueError, match="variable 1 .*repeated"):
+            PackingInstance.from_csr([1, 1], [0, 2], [1, 1], [1.0, 1.0], [1.0])
+
+    def test_out_of_range_variables_rejected(self):
+        inst = CoveringInstance([1, 1], [Constraint({0: 1.0, 1: 1.0}, 1.0)])
+        for bad in ({-1}, {2}):
+            with pytest.raises(ValueError, match="outside"):
+                inst.is_feasible(bad)
+            with pytest.raises(ValueError, match="outside"):
+                inst.restrict(bad)
+        with pytest.raises(ValueError, match="outside"):
+            inst.restrict_to_edges([1])
+
+    def test_arrays_are_frozen(self):
+        inst = PackingInstance([1, 1], [Constraint({0: 1.0, 1: 1.0}, 1.0)])
         with pytest.raises(ValueError):
-            Constraint({0: 0.0}, 1.0)
+            inst.data[0] = 5.0
 
-    def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
-            Constraint({0: 1.0}, -1.0)
 
-    def test_value(self):
-        c = Constraint({0: 2.0, 1: 3.0}, 4.0)
-        assert c.value({0}) == 2.0
-        assert c.value({0, 1}) == 5.0
+class TestFeasibilityBoundary:
+    def test_packing_tolerance_boundary(self):
+        at = PackingInstance([1], [Constraint({0: 1.0 + FEASIBILITY_TOL}, 1.0)])
+        over = PackingInstance([1], [Constraint({0: 1.0 + 2 * FEASIBILITY_TOL}, 1.0)])
+        assert at.is_feasible({0})
+        assert not over.is_feasible({0})
 
-    def test_restrict_drops_outside(self):
-        c = Constraint({0: 2.0, 1: 3.0}, 4.0)
-        r = c.restrict({0})
-        assert r.coefficients == {0: 2.0}
-        assert r.bound == 4.0
+    def test_covering_tolerance_boundary(self):
+        at = CoveringInstance([1], [Constraint({0: 1.0 - FEASIBILITY_TOL}, 1.0)])
+        under = CoveringInstance([1], [Constraint({0: 1.0 - 2 * FEASIBILITY_TOL}, 1.0)])
+        assert at.is_feasible({0}) and at.is_satisfiable()
+        assert not under.is_feasible({0}) and not under.is_satisfiable()
 
-    def test_reduce_by_fixed(self):
-        c = Constraint({0: 2.0, 1: 3.0}, 4.0)
-        r = c.reduce_by_fixed({0})
-        assert r.coefficients == {1: 3.0}
-        assert r.bound == 2.0
-        r2 = c.reduce_by_fixed({0, 1})
-        assert r2.bound == 0.0
+
+def _coo_problem(instance):
+    """MwuProblem built the pre-array way: per-row loop, COO -> CSR."""
+    packing = isinstance(instance, PackingInstance)
+    weights = np.array(instance.weights, dtype=np.float64)
+    rows, cols, data, bounds, forced = [], [], [], [], []
+    for coeffs, bound in _rows(instance):
+        if bound <= FEASIBILITY_TOL:
+            if packing:
+                forced.extend(coeffs)
+            continue
+        for v, c in sorted(coeffs.items()):
+            rows.append(len(bounds))
+            cols.append(v)
+            data.append(c)
+        bounds.append(bound)
+    weights[sorted(set(forced))] = 0.0
+    matrix = sparse.csr_matrix(
+        (data, (rows, cols)), shape=(len(bounds), instance.n), dtype=np.float64
+    )
+    matrix.sum_duplicates()
+    return weights, matrix, np.asarray(bounds, dtype=np.float64)
+
+
+class TestMwuView:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([PackingInstance, CoveringInstance]))
+    def test_from_instance_matches_coo_construction(self, seed, cls):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        rows = _random_rows(rng, n)
+        weights = [float(w) for w in rng.integers(1, 5, size=n)]
+        inst = cls(weights, [Constraint(c, b) for c, b in rows])
+        problem = MwuProblem.from_instance(inst)
+        want_weights, want_matrix, want_bounds = _coo_problem(inst)
+        assert np.array_equal(problem.weights, want_weights)
+        assert np.array_equal(problem.bounds, want_bounds)
+        assert problem.matrix.shape == want_matrix.shape
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(problem.matrix, part), getattr(want_matrix, part)
+            assert np.array_equal(got, want)
+
+    def test_zero_bound_packing_rows_zero_their_weights(self):
+        inst = PackingInstance(
+            [5.0, 4.0, 3.0],
+            [Constraint({2: 1.0, 0: 2.0}, 0.0), Constraint({1: 1.0, 2: 1.0}, 1.0)],
+        )
+        problem = MwuProblem.from_instance(inst)
+        assert problem.weights.tolist() == [0.0, 4.0, 0.0]
+        assert problem.matrix.toarray().tolist() == [[0.0, 1.0, 1.0]]
+        assert inst.weights.tolist() == [5.0, 4.0, 3.0]  # the instance is untouched
 
 
 class TestPackingInstance:
@@ -53,13 +253,11 @@ class TestPackingInstance:
         )
         assert inst.is_feasible({0, 2})
         assert not inst.is_feasible({0, 1})
-        assert inst.violated_constraints({0, 1}) == [0]
 
     def test_weights(self):
         inst = PackingInstance([2, 3, 5], [])
         assert inst.weight({0, 2}) == 7
         assert inst.weight_on({0, 1, 2}, {1}) == 3
-        assert inst.total_weight() == 10
 
     def test_hypergraph(self):
         inst = PackingInstance(
@@ -79,13 +277,6 @@ class TestPackingInstance:
         sub = inst.restrict({0})
         assert sub.is_feasible({0})
         assert sub.weights[1] == 0.0
-
-    def test_feasible_alone(self):
-        inst = PackingInstance(
-            [1, 1], [Constraint({0: 3.0, 1: 1.0}, 2.0)]
-        )
-        assert not inst.feasible_alone(0)
-        assert inst.feasible_alone(1)
 
 
 class TestCoveringInstance:
@@ -107,7 +298,7 @@ class TestCoveringInstance:
         )
         sub = inst.restrict({0, 1})
         assert sub.m == 1
-        assert sub.constraints[0].support == frozenset({0, 1})
+        assert sub.indices.tolist() == [0, 1]
 
     def test_restriction_with_fixed_ones(self):
         inst = CoveringInstance(
@@ -116,7 +307,7 @@ class TestCoveringInstance:
         )
         sub = inst.restrict({1, 2}, fixed_ones={0})
         assert sub.m == 1
-        assert sub.constraints[0].bound == 1.0
+        assert sub.bounds.tolist() == [1.0]
         satisfied = inst.restrict({1, 2}, fixed_ones={0, 1})
         assert satisfied.m == 0  # bound reached, constraint dropped
 
@@ -130,7 +321,7 @@ class TestCoveringInstance:
         )
         sub = inst.restrict_to_edges([1])
         assert sub.m == 1
-        assert sub.constraints[0].support == frozenset({1, 2})
+        assert sub.indices.tolist() == [1, 2]
 
     def test_is_satisfiable(self):
         sat = CoveringInstance([1], [Constraint({0: 1.0}, 1.0)])
