@@ -26,7 +26,7 @@ weighted generalization used by the Section 4 "alternative approach".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import repro.obs as _obs
 from repro.core.carve import grow_and_carve
@@ -72,11 +72,15 @@ def chang_li_ldd(
 
     Every BFS-shaped step (the ``n_v`` estimation, ball growing, the
     Elkin–Neiman flood and the final components) runs on the batched
-    numpy kernels of :mod:`repro.graphs.csr`.
+    numpy kernels of :mod:`repro.graphs.csr`.  The ``n_v`` estimation
+    uses :meth:`~repro.graphs.csr.CsrGraph.settled_ball_sizes`:
+    eccentricity bounds fix every ball that is its whole component
+    (most of them once ``4tR`` exceeds the diameter), and only the
+    other sources are swept.
 
-    ``kernel_workers`` shards the ``n_v`` estimation's source chunks —
-    the wall-clock bottleneck of every scale trial — over worker
-    processes via :mod:`repro.graphs.parallel`; the decomposition is
+    ``kernel_workers`` shards the swept sources' chunks over worker
+    processes via :mod:`repro.graphs.parallel` (the sweep dominates on
+    expanders, where few balls settle); the decomposition is
     bit-identical at any worker count.  ``None`` resolves through
     ``REPRO_KERNEL_WORKERS`` (default serial).
 
@@ -118,9 +122,9 @@ def chang_li_ldd(
 
     try:
         # -- Estimate n_v = |N^{4tR}(v)| (Algorithm 2, line 1). -------
-        # The hot path: one batched frontier expansion replaces n
-        # single-source gathers.
-        estimates: Dict[int, float] = {}
+        # Local runs settle most balls from eccentricity bounds and
+        # sweep the rest; the MPC backend meters the full LOCAL sweep.
+        sizes = None
         max_depth = 0
         with _obs.span("ldd.estimate_nv"):
             if n:
@@ -128,14 +132,13 @@ def chang_li_ldd(
                     sizes, depths = mpc_run.all_ball_sizes(
                         params.estimate_radius, weights=weights
                     )
+                    max_depth = int(depths.max())
                 else:
-                    sizes, depths = graph.csr().all_ball_sizes(
+                    sizes, max_depth = graph.csr().settled_ball_sizes(
                         params.estimate_radius,
                         weights=weights,
                         kernel_workers=kernel_workers,
                     )
-                estimates = {v: float(sizes[v]) for v in range(n)}
-                max_depth = int(depths.max())
         ledger.charge("estimate-nv", params.estimate_radius, max_depth)
 
         # -- Phase 1: t sparsification iterations (Algorithm 2). ------
@@ -145,7 +148,7 @@ def chang_li_ldd(
                 v
                 for v in sorted(remaining)
                 if rngs[v].random()
-                < params.sampling_probability(i, max(1, int(estimates[v])))
+                < params.sampling_probability(i, max(1, int(sizes[v])))
             ]
             _apply_carves(
                 graph,
@@ -167,7 +170,7 @@ def chang_li_ldd(
                 v
                 for v in sorted(remaining)
                 if rngs[n + v].random()
-                < params.phase2_probability(max(1, int(estimates[v])))
+                < params.phase2_probability(max(1, int(sizes[v])))
             ]
             _apply_carves(
                 graph,

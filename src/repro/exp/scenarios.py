@@ -856,9 +856,10 @@ def _kernel_speed_trial(params: Dict[str, Any], ctx: TrialContext) -> Dict[str, 
     radius = 4 * 4 * 25
 
     ref_sizes: List[float] = []
+    ref_depths: List[int] = []
 
     def estimate_python():
-        ref_sizes[:] = reference.all_ball_sizes(graph, radius)[0]
+        ref_sizes[:], ref_depths[:] = reference.all_ball_sizes(graph, radius)
 
     timings["estimate_nv_python_s"] = best_of(1, estimate_python)
     timings["estimate_nv_csr_s"] = best_of(
@@ -873,11 +874,14 @@ def _kernel_speed_trial(params: Dict[str, Any], ctx: TrialContext) -> Dict[str, 
     timings["en_flood_csr_s"] = best_of(
         3, lambda: graph.csr().top2_shifted_flood(shifts)
     )
+    settled_sizes, settled_depth = graph.csr().settled_ball_sizes(radius)
     return {
         **timings,
         "estimate_nv_speedup": timings["estimate_nv_python_s"]
         / max(timings["estimate_nv_csr_s"], 1e-12),
-        "nv_identical": graph.csr().all_ball_sizes(radius)[0].tolist() == ref_sizes,
+        "nv_identical": graph.csr().all_ball_sizes(radius)[0].tolist() == ref_sizes
+        and settled_sizes.tolist() == ref_sizes
+        and settled_depth == max(ref_depths),
     }
 
 

@@ -1,16 +1,21 @@
 """Batched CSR graph kernels — the numpy fast path for BFS-shaped work.
 
-Profiling the Theorem 1.1 decomposition shows ~95% of its runtime in
-per-vertex ``gather_ball`` calls that estimate ``n_v = |N^{4tR}(v)|``.
-Every one of those gathers walks the same adjacency structure, so this
-module stores the graph once in compressed-sparse-row form
-(``indptr``/``indices`` arrays) and exposes *batched* primitives that
-amortize the traversal across all sources simultaneously:
+The Theorem 1.1 decomposition needs ``n_v = |N^{4tR}(v)|`` for every
+vertex, and the radius-gathering consumers walk the same adjacency
+structure over and over.  This module stores the graph once in
+compressed-sparse-row form (``indptr``/``indices`` arrays) and exposes
+*batched* primitives that amortize the traversal across all sources
+simultaneously:
 
 * :meth:`CsrGraph.all_ball_sizes` — ball sizes (optionally weighted)
   from every source at once, via bit-packed frontier expansion: the
   per-source visited sets are packed 8 sources per byte and one numpy
   ``bitwise_or.reduceat`` per BFS level advances *all* frontiers.
+* :meth:`CsrGraph.settled_ball_sizes` — the same sizes for every
+  vertex plus the largest depth, where exact eccentricity bounds fix
+  each ball that is its whole component and only the remaining sources
+  are swept (the LDD's ``n_v`` path; the sweep is what remains on
+  expanders).
 * :meth:`CsrGraph.bfs_distances` — single multi-source BFS with a
   sparse (index-array) frontier; work is proportional to the edges
   incident to the frontier, like the pure-Python BFS, but at C speed.
@@ -35,7 +40,7 @@ kernel calls pay the CSR construction once.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -73,6 +78,10 @@ _PAD_WASTE_FACTOR = 8
 #: run-to-saturation sweep is level-bound in its dense middle and gains
 #: ~2%).
 _SPARSE_COST_FACTOR = 256.0
+
+#: Batch pivots of :meth:`CsrGraph.settled_ball_sizes`: one packed
+#: word, so the batch costs about one word of the all-source sweep.
+_SETTLE_BATCH = 64
 
 #: Bit patterns of every byte value, MSB first — matches the packed
 #: column layout of :meth:`CsrGraph._seed_packed` / ``np.unpackbits``.
@@ -659,6 +668,138 @@ class CsrGraph:
             _obs.count("csr.ball.words_retired", int(active.size))
             harvest(visited, active)
 
+    def settled_ball_sizes(
+        self,
+        radius: int,
+        weights: Optional[Sequence[float]] = None,
+        kernel_workers: Optional[int] = None,
+    ) -> Tuple[np.ndarray, int]:
+        """Every vertex's ``|N^radius(v)|`` plus the largest ball depth.
+
+        Returns ``(sizes, max_depth)`` equal to ``all_ball_sizes(radius,
+        weights)[0]`` and the maximum of its depths (weighted sizes up
+        to float summation order), but sweeps only the sources whose
+        ball the exact eccentricity bounds of Takes & Kosters
+        ("Determining the diameter of small world networks", CIKM 2011)
+        cannot fix:
+
+        1. **Bound.** Pivot BFS, each capped at ``radius + 1`` levels: a
+           double sweep per component (its smallest vertex, then that
+           BFS's farthest vertex), then one packed word of
+           :data:`_SETTLE_BATCH` unsettled vertices with the smallest
+           lower bound ``max_p max(d(v,p), ecc(p) − d(v,p))``.
+        2. **Settle.** ``ub(v) = min_p d(v,p) + ecc(p)`` over pivots
+           whose BFS exhausted their component.  Pivots are sources, so
+           ``T = min(radius, max_p ecc(p))`` is a depth that occurs; a
+           vertex with ``ub(v) <= T`` has its whole component as ball
+           and cannot raise the maximum depth.
+        3. **Sweep** the rest through :meth:`all_ball_sizes`
+           (``kernel_workers`` shards it as there).
+
+        Large-diameter graphs (grids, paths) settle nearly every vertex;
+        on expanders the sweep still does the work.
+        """
+        require(radius >= 0, "radius must be >= 0")
+        w = None if weights is None else np.asarray(weights, dtype=np.float64)
+        require(w is None or len(w) == self.n, "need one weight per vertex")
+        sizes = np.zeros(self.n, dtype=np.float64)
+        if self.n == 0:
+            return sizes, 0
+        with _obs.span("csr.settle"):
+            settled, threshold, labels, pivots = self._settle(radius)
+            sizes[settled] = np.bincount(labels, weights=w)[labels[settled]]
+            rest = np.nonzero(~settled)[0]
+            _obs.count("csr.settle.pivots", pivots)
+            _obs.count("csr.settle.settled", self.n - rest.size)
+            _obs.count("csr.settle.swept", rest.size)
+        if not rest.size:
+            return sizes, threshold
+        swept, depths = self.all_ball_sizes(
+            radius, weights=w, sources=rest, kernel_workers=kernel_workers
+        )
+        sizes[rest] = swept
+        return sizes, max(threshold, int(depths.max()))
+
+    def _settle(self, radius: int) -> Tuple[np.ndarray, int, np.ndarray, int]:
+        """Steps 1–2 of :meth:`settled_ball_sizes`.
+
+        Returns ``(settled mask, T, component labels, pivot count)``.
+        Pivot distances live in (n,) vectors (double sweep) or one
+        packed word (the batch, :meth:`_pivot_levels`), never in an
+        ``(S, n)`` matrix.
+        """
+        cap = radius + 1
+        labels = self._component_labels()
+        components = int(labels.max()) + 1
+        ub = np.full(self.n, np.iinfo(np.int64).max, dtype=np.int64)
+        lb = np.zeros(self.n, dtype=np.int64)
+        depth = 0  # max over pivots of min(ecc, cap)
+        pivot = np.unique(labels, return_index=True)[1]  # smallest vertices
+        for _ in range(2):
+            dist = self.bfs_distances(pivot, radius=cap)
+            ecc = np.zeros(components, dtype=np.int64)
+            np.maximum.at(ecc, labels, dist)
+            depth = max(depth, int(ecc.max()))
+            ecc_v = ecc[labels]
+            # A capped ecc (> radius) gives ub > T, so it never settles.
+            np.minimum(ub, np.where(dist >= 0, dist + ecc_v, ub), out=ub)
+            dist[dist < 0] = cap + 1  # beyond the cap: farther than cap
+            np.maximum(lb, np.maximum(dist, ecc_v - dist), out=lb)
+            far = np.nonzero(dist == ecc_v)[0]  # ascending ids
+            pivot = far[np.unique(labels[far], return_index=True)[1]]
+        pivots = 2 * components
+        candidates = np.nonzero(ub > min(radius, depth))[0]
+        if candidates.size:
+            batch = candidates[
+                np.argsort(lb[candidates], kind="stable")[:_SETTLE_BATCH]
+            ]
+            pivots += len(batch)
+            ecc = np.zeros(len(batch), dtype=np.int64)
+            for level, frontier in self._pivot_levels(batch, cap):
+                live_word = np.bitwise_or.reduce(frontier, axis=0)
+                ecc[self._unpack(live_word, len(batch))] = level
+            depth = max(depth, int(ecc.max()))
+        threshold = min(radius, depth)
+        settled = ub <= threshold
+        if candidates.size and int(ecc.min()) <= threshold:
+            # Lanes sorted by ecc: level r settles through the prefix of
+            # lanes with ecc <= T - r, one AND per level.
+            order = np.argsort(ecc, kind="stable")
+            batch, ecc = batch[order], ecc[order]
+            lanes = np.arange(64)
+            for level, frontier in self._pivot_levels(
+                batch, threshold - int(ecc[0])
+            ):
+                k = int(np.searchsorted(ecc, threshold - level, side="right"))
+                prefix = np.packbits(lanes < k).view(np.uint64)
+                settled |= (frontier[:, 0] & prefix[0]) != 0
+        return settled, threshold, labels, pivots
+
+    def _component_labels(self) -> np.ndarray:
+        """(n,) component index per vertex, in one O(n + m) pass."""
+        labels = np.empty(self.n, dtype=np.int64)
+        for k, comp in enumerate(self.connected_components()):
+            labels[np.fromiter(comp, dtype=np.int64, count=len(comp))] = k
+        return labels
+
+    def _pivot_levels(
+        self, pivots: np.ndarray, levels: int
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """BFS levels ``(r, frontier)``, ``r = 0..levels``, from up to 64
+        pivots packed in one word; ``frontier`` is (n, 1) uint64 with
+        lane ``j`` (MSB-first, as :meth:`_seed_packed`) set at vertices
+        at distance exactly ``r`` from ``pivots[j]``.  The buffer is
+        reused: read it before advancing the generator."""
+        visited = self._seed_packed(pivots, len(pivots), None)
+        frontier = visited.copy()
+        sweep = _PackedSweep(self, 1)
+        for level in range(levels + 1):
+            if level:
+                frontier = sweep.expand(frontier, visited, None)
+                if not frontier.any():
+                    return
+            yield level, frontier
+
     def distances_from(
         self,
         sources: Iterable[int],
@@ -864,14 +1005,24 @@ class CsrGraph:
     def weak_diameter(
         self, subset: Iterable[int], kernel_workers: Optional[int] = None
     ) -> float:
-        """``max_{u,v in subset} dist_G(u, v)`` in the full graph."""
-        vs = sorted(set(subset))
+        """``max_{u,v in subset} dist_G(u, v)`` in the full graph.
+
+        Sources are reduced chunk by chunk, so at most
+        ``_GATHER_BUDGET_BYTES`` of distance rows exist at once.
+        """
+        vs = np.array(sorted(set(subset)), dtype=np.int64)
         if len(vs) <= 1:
             return 0.0
-        dist = self.distances_from(vs, kernel_workers=kernel_workers)[:, vs]
-        if (dist < 0).any():
-            return float("inf")
-        return float(dist.max())
+        chunk = max(1, _GATHER_BUDGET_BYTES // (8 * self.n))
+        best = 0
+        for lo in range(0, len(vs), chunk):
+            dist = self.distances_from(
+                vs[lo : lo + chunk], kernel_workers=kernel_workers
+            )[:, vs]
+            if (dist < 0).any():
+                return float("inf")
+            best = max(best, int(dist.max()))
+        return float(best)
 
     def eccentricities(
         self,

@@ -16,6 +16,7 @@ import zlib
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.core import LddParams, chang_li_ldd
 from repro.decomp.shifts import sample_shifts, shifted_flood
 from repro.graphs import (
@@ -24,10 +25,12 @@ from repro.graphs import (
     cycle_graph,
     erdos_renyi,
     grid_graph,
+    path_graph,
     reference,
 )
 from repro.graphs.csr import CsrGraph
 from repro.local.gather import gather_ball
+from repro.mpc import MpcConfig
 
 
 def _graph_pool():
@@ -141,6 +144,25 @@ class TestKernelEquivalence:
             ref = reference.weak_diameter(graph, subset)
             assert fast == ref
             assert type(fast) is type(ref)
+
+    @pytest.mark.parametrize("name,graph", POOL[::4])
+    def test_weak_diameter_chunked(self, monkeypatch, name, graph):
+        """A budget of a few distance rows splits the sources into many
+        chunks; the reduced maximum (or ``inf``) is unchanged."""
+        from repro.graphs import csr as csr_module
+
+        rng = _rng(name + "-chunks")
+        csr = graph.csr()
+        subsets = [
+            list(range(graph.n)),
+            rng.choice(graph.n, size=max(2, graph.n // 2), replace=False).tolist(),
+        ]
+        one_chunk = [csr.weak_diameter(s) for s in subsets]
+        monkeypatch.setattr(csr_module, "_GATHER_BUDGET_BYTES", 3 * 8 * graph.n)
+        for subset, whole in zip(subsets, one_chunk, strict=True):
+            chunked = csr.weak_diameter(subset)
+            assert chunked == whole == reference.weak_diameter(graph, subset)
+            assert type(chunked) is float
 
     @pytest.mark.parametrize("name,graph", POOL)
     def test_eccentricity_and_diameters(self, name, graph):
@@ -353,13 +375,122 @@ class TestGirth:
         assert grid_graph(3, 4).girth() == 4
 
     def test_forest_and_edge_cases(self):
-        from repro.graphs import path_graph, random_tree
+        from repro.graphs import random_tree
 
         assert path_graph(6).girth() == float("inf")
         assert Graph(0).girth() == float("inf")
         assert Graph(5).girth() == float("inf")
         tree = random_tree(40, np.random.default_rng(3))
         assert tree.girth() == reference.girth(tree) == float("inf")
+
+
+class TestSettledBallSizes:
+    """``settled_ball_sizes`` is exact: sizes bit-identical to the full
+    sweep (unweighted) and the maximum depth equal to its depths' max,
+    whether the eccentricity bounds settle every source or none."""
+
+    @staticmethod
+    def _radii(graph):
+        # Around the largest component diameter, plus far above it.
+        diameter = int(graph.csr().all_ball_sizes()[1].max())
+        return sorted({0, 1, max(0, diameter - 1), diameter, diameter + 1, 4 * graph.n})
+
+    @pytest.mark.parametrize("name,graph", POOL)
+    def test_matches_sweep_and_oracle(self, name, graph):
+        csr = graph.csr()
+        for radius in self._radii(graph):
+            sizes, max_depth = csr.settled_ball_sizes(radius)
+            swept, depths = csr.all_ball_sizes(radius)
+            ref_sizes, ref_depths = reference.all_ball_sizes(graph, radius)
+            assert np.array_equal(sizes, swept), (name, radius)
+            assert sizes.tolist() == ref_sizes, (name, radius)
+            assert max_depth == int(depths.max()) == max(ref_depths), (name, radius)
+            assert type(max_depth) is int
+
+    def test_disconnected_with_isolated_vertices(self):
+        graph = Graph(9, [(0, 1), (1, 2), (2, 3), (5, 6), (6, 7)])
+        for radius in (0, 1, 2, 3, 4, 50):
+            sizes, max_depth = graph.csr().settled_ball_sizes(radius)
+            ref_sizes, ref_depths = reference.all_ball_sizes(graph, radius)
+            assert sizes.tolist() == ref_sizes, radius
+            assert max_depth == max(ref_depths), radius
+        assert Graph(3).csr().settled_ball_sizes(2)[0].tolist() == [1.0] * 3
+        sizes, max_depth = Graph(0).csr().settled_ball_sizes(5)
+        assert sizes.size == 0 and max_depth == 0
+
+    def test_max_depth_from_settled_component(self):
+        """A 250-path sets the deepest ball (settled); some vertices of
+        a 400-cycle stay unsettled but are shallower (depth 200)."""
+        graph = path_graph(251).union_disjoint(cycle_graph(400))
+        with obs.collect() as col:
+            sizes, max_depth = graph.csr().settled_ball_sizes(10**4)
+        swept, depths = graph.csr().all_ball_sizes(10**4)
+        assert col.counter_table()["csr.settle.swept"] > 0
+        assert np.array_equal(sizes, swept)
+        assert max_depth == int(depths.max()) == 250
+
+    def test_long_path_small_radius_settles_nothing(self, monkeypatch):
+        """Every eccentricity exceeds the radius: nothing settles, and
+        no pivot BFS runs past ``radius + 1`` levels."""
+        graph = path_graph(300)
+        csr = graph.csr()
+        radius = 3
+        levels, bfs_radii = [], []
+        pivot_levels, bfs = CsrGraph._pivot_levels, CsrGraph.bfs_distances
+
+        def spy_levels(self, pivots, limit):
+            for level, frontier in pivot_levels(self, pivots, limit):
+                levels.append(level)
+                yield level, frontier
+
+        def spy_bfs(self, sources, radius=None, within=None):
+            bfs_radii.append(radius)
+            return bfs(self, sources, radius=radius, within=within)
+
+        monkeypatch.setattr(CsrGraph, "_pivot_levels", spy_levels)
+        monkeypatch.setattr(CsrGraph, "bfs_distances", spy_bfs)
+        with obs.collect() as col:
+            sizes, max_depth = csr.settled_ball_sizes(radius)
+        swept, depths = csr.all_ball_sizes(radius)
+        assert np.array_equal(sizes, swept)
+        assert max_depth == int(depths.max()) == radius
+        counters = col.counter_table()
+        assert counters.get("csr.settle.settled", 0) == 0
+        assert counters["csr.settle.swept"] == graph.n
+        assert bfs_radii == [radius + 1, radius + 1]
+        assert levels and max(levels) <= radius + 1
+
+    @pytest.mark.parametrize("name,graph", POOL[::5])
+    def test_weighted(self, name, graph):
+        weights = _rng(name + "-settle").random(graph.n) * 3.0
+        csr = graph.csr()
+        for radius in self._radii(graph):
+            sizes, max_depth = csr.settled_ball_sizes(radius, weights=weights)
+            swept, depths = csr.all_ball_sizes(radius, weights=weights)
+            ref_sizes, _ = reference.all_ball_sizes(graph, radius, weights=weights)
+            assert sizes.tolist() == pytest.approx(swept.tolist())
+            assert sizes.tolist() == pytest.approx(ref_sizes)
+            assert np.array_equal(np.floor(sizes), np.floor(swept)), (name, radius)
+            assert max_depth == int(depths.max())
+
+    @pytest.mark.parametrize(
+        "graph,settled",
+        [(grid_graph(12, 12), 144), (path_graph(1000), 0)],
+        ids=["grid-all-settle", "path-none-settle"],
+    )
+    def test_ldd_local_matches_mpc(self, graph, settled):
+        """The local LDD (bounds + partial sweep) and the MPC backend
+        (metered full sweep) agree on clusters, deletions and ledger."""
+        params = LddParams.practical(0.3, graph.n)
+        with obs.collect() as col:
+            local = chang_li_ldd(graph, params, seed=4)
+        assert col.counter_table().get("csr.settle.settled", 0) == settled
+        partitioned = chang_li_ldd(
+            graph, params, seed=4, execution_backend="mpc", mpc=MpcConfig(ranks=2)
+        )
+        assert partitioned.clusters == local.clusters
+        assert partitioned.deleted == local.deleted
+        assert partitioned.ledger == local.ledger
 
 
 class TestCsrEdgeCases:

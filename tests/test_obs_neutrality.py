@@ -41,6 +41,33 @@ class TestAlgorithmNeutrality:
         assert "ldd.estimate_nv" in table
         assert any(path.endswith("carve.gather") for path in table)
 
+    def test_settle_span_bit_identical(self):
+        """The ``csr.settle`` step under ``ldd.estimate_nv``, on a path
+        where the bounds settle some balls and the rest are swept."""
+        from repro.core import LddParams, chang_li_ldd
+        from repro.graphs import path_graph
+
+        graph = path_graph(500)
+        params = LddParams.practical(0.3, graph.n)
+        baseline = chang_li_ldd(graph, params, seed=7)
+        base_nv = graph.csr().settled_ball_sizes(params.estimate_radius)
+        with obs.collect() as col:
+            traced = chang_li_ldd(graph, params, seed=7)
+            traced_nv = graph.csr().settled_ball_sizes(params.estimate_radius)
+        assert canonical(traced) == canonical(baseline)
+        assert traced.ledger == baseline.ledger
+        assert np.array_equal(traced_nv[0], base_nv[0])
+        assert traced_nv[1] == base_nv[1]
+        assert "ldd.estimate_nv/csr.settle" in col.span_table()
+        counters = col.counter_table()
+        assert counters["csr.settle.pivots"] > 0
+        assert counters["csr.settle.settled"] > 0
+        assert counters["csr.settle.swept"] > 0
+        assert (
+            counters["csr.settle.settled"] + counters["csr.settle.swept"]
+            == 2 * graph.n
+        )
+
     def test_packing_covering_solutions_bit_identical(self):
         from repro.core import solve_covering, solve_packing
         from repro.exp.scenarios import _covering_instance, _packing_instance
