@@ -14,23 +14,28 @@ one, and split the graph there.  They differ in what is cut:
   *covering* solution on the lightest odd layer pair (satisfying every
   constraint crossing it) and remove ``N^{j*}`` as an isolated zone.
 
-The iteration drivers (in :mod:`repro.core.ldd` etc.) apply carves of
-all sampled centers against the *same* residual snapshot, then merge:
-a vertex deleted by any carve is deleted ("deleted wins", Section
-3.1.2); fixed assignments are unioned (Section 5.1.2).
+Every driver runs its carves through :func:`carve_round`: all sampled
+centers carve against the *same* residual snapshot, then the outcomes
+merge by one rule — a vertex deleted by any carve is deleted even if
+another carve removed it ("deleted wins", Sections 3.1.2 and 4.1.3),
+and fixed assignments are unioned (Section 5.1.2).  Covering carves
+delete nothing, so the same rule serves them unchanged.
+:func:`estimate_clusters` is the packing and covering preparation
+(Sections 4.1.1 and 5.1.1): each cluster weighs its own local optimum
+against that of its neighborhood.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import repro.obs as _obs
 from repro.graphs.graph import Graph
 from repro.artifacts.cache import SolveCache
 from repro.ilp.exact import solve_covering_exact, solve_packing_exact
 from repro.ilp.instance import CoveringInstance, PackingInstance
-from repro.local.gather import gather_ball
+from repro.local.gather import RoundLedger, gather_ball
 from repro.util.validation import require
 
 Interval = Tuple[int, int]
@@ -242,3 +247,125 @@ def grow_and_carve_covering(
         cut_position=best_j,
         depth=gathered.depth_reached,
     )
+
+
+@dataclass(frozen=True)
+class CarveRound:
+    """Merged outcome of one round of carves (see :func:`carve_round`).
+
+    ``executed`` counts the carves that ran — seed sets already carved
+    away are skipped and not counted.  ``removed`` excludes every
+    ``deleted`` vertex.
+    """
+
+    executed: int
+    removed: Set[int]
+    deleted: Set[int]
+    fixed_ones: Set[int]
+
+
+def carve_round(
+    graph: Graph,
+    seed_sets: Iterable[Iterable[int]],
+    interval: Interval,
+    remaining: Set[int],
+    carve: Callable[..., CarveOutcome],
+    ledger: RoundLedger,
+    label: str,
+) -> CarveRound:
+    """Run one carve per seed set against one residual snapshot, merge.
+
+    Each seed set is cut to ``seeds & remaining``; an empty cut is
+    skipped.  ``carve(seeds, interval, snapshot)`` runs one carve, where
+    ``snapshot`` is the boolean residual mask, built once and shared.
+    Merge rule: deleted wins over removed; fixed assignments union.
+    ``remaining`` loses every removed and deleted vertex in place, and
+    the round is charged as ``(label, 2b, 2·max depth)`` — all carves
+    gather simultaneously.
+    """
+    removed: Set[int] = set()
+    deleted: Set[int] = set()
+    fixed_ones: Set[int] = set()
+    max_depth = 0
+    executed = 0
+    snapshot = None
+    for seed_set in seed_sets:
+        seeds = set(seed_set) & remaining
+        if not seeds:
+            continue
+        if snapshot is None:
+            snapshot = graph.csr().residual_mask(remaining)
+        executed += 1
+        outcome = carve(seeds, interval, snapshot)
+        removed |= outcome.removed
+        deleted |= outcome.deleted
+        fixed_ones |= outcome.fixed_ones
+        max_depth = max(max_depth, outcome.depth)
+    removed -= deleted
+    remaining -= removed
+    remaining -= deleted
+    ledger.charge(label, 2 * interval[1], 2 * max_depth)
+    return CarveRound(executed, removed, deleted, fixed_ones)
+
+
+@dataclass(frozen=True)
+class PrepCluster:
+    """A preparation cluster ``C`` with its sampling estimates.
+
+    ``weight_self`` is ``W(local optimum of C, C)`` and
+    ``weight_neighborhood`` is the same for ``S_C``, the cluster's
+    ``radius``-neighborhood.
+    """
+
+    vertices: frozenset
+    weight_self: float
+    weight_neighborhood: float
+
+
+def estimate_clusters(
+    graph: Graph,
+    clusters: Iterable[Set[int]],
+    radius: int,
+    local_weight: Callable[[Set[int]], float],
+    ledger: RoundLedger,
+) -> List[PrepCluster]:
+    """Weigh every cluster against its ``radius``-neighborhood.
+
+    ``local_weight(vertices)`` is the weight of an optimal local
+    solution on ``vertices`` (packing or covering).  All clusters
+    gather simultaneously, so the step is charged once as
+    ``prep-estimates``.
+    """
+    prepared: List[PrepCluster] = []
+    max_depth = 0
+    for cluster in clusters:
+        gathered = gather_ball(graph, cluster, radius)
+        max_depth = max(max_depth, gathered.depth_reached)
+        prepared.append(
+            PrepCluster(
+                vertices=frozenset(cluster),
+                weight_self=local_weight(cluster),
+                weight_neighborhood=local_weight(gathered.ball),
+            )
+        )
+    ledger.charge("prep-estimates", 2 * radius, 2 * max_depth)
+    return prepared
+
+
+def sample_centers(
+    clusters: Sequence[PrepCluster],
+    rngs: Sequence,
+    probability: Callable[[float, float], float],
+) -> List[frozenset]:
+    """Vertex sets of the clusters sampled as carve centers.
+
+    Cluster ``idx`` draws once from its own stream ``rngs[idx]``, in
+    index order, and is kept with
+    ``probability(weight_self, weight_neighborhood)``.
+    """
+    return [
+        cluster.vertices
+        for idx, cluster in enumerate(clusters)
+        if rngs[idx].random()
+        < probability(cluster.weight_self, cluster.weight_neighborhood)
+    ]

@@ -27,21 +27,27 @@ the residual) and then semantically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from functools import partial
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
+import repro.obs as _obs
 from repro.artifacts.cache import SolveCache
-from repro.core.carve import grow_and_carve_covering
+from repro.core.carve import (
+    carve_round,
+    estimate_clusters,
+    grow_and_carve_covering,
+    sample_centers,
+)
 from repro.core.params import CoveringParams
 from repro.decomp.sparse_cover import (
     solve_covering_by_sparse_cover,
     sparse_cover,
 )
-from repro.graphs.graph import Graph
 from repro.ilp.exact import solve_covering_exact
 from repro.ilp.instance import FEASIBILITY_TOL, CoveringInstance
-from repro.local.gather import RoundLedger, gather_ball
+from repro.local.gather import RoundLedger
 from repro.util.rng import SeedLike, spawn_rngs
 from repro.util.validation import require
 
@@ -58,13 +64,6 @@ class CoveringResult:
     residual_size: int
     num_prep_clusters: int
     centers_per_iteration: List[int] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class _PrepCluster:
-    vertices: frozenset
-    weight_self: float
-    weight_neighborhood: float
 
 
 def chang_li_covering(
@@ -88,115 +87,117 @@ def chang_li_covering(
     phase_rng = rng_streams[params.prep_count]
     final_rng = rng_streams[params.prep_count + 1]
 
-    clusters = _prepare_clusters(
-        instance, graph, hypergraph, params, prep_rngs, ledger, cache
-    )
+    # -- Preparation (Section 5.1.1): sparse covers + weight estimates. -
+    with _obs.span("covering.prep"):
+        prep_ledgers = []
+        raw_clusters: List[Set[int]] = []
+        for rng in prep_rngs:
+            cover = sparse_cover(
+                hypergraph,
+                params.prep_lambda,
+                ntilde=params.ntilde,
+                seed=rng,
+            )
+            raw_clusters.extend(cover.clusters)
+            prep_ledgers.append(cover.ledger)
+        ledger.merge_parallel(prep_ledgers, "prep-sparse-cover")
+        clusters = estimate_clusters(
+            graph,
+            raw_clusters,
+            params.cluster_radius,
+            lambda vertices: solve_covering_exact(
+                instance, subset=vertices, cache=cache
+            ).weight,
+            ledger,
+        )
 
     remaining: Set[int] = set(range(n))
     removed: Set[int] = set()
     fixed_ones: Set[int] = set()
     centers_per_iteration: List[int] = []
 
+    # -- Phase 1 (Algorithms 7/8). -------------------------------------
+    # Every carve of a round reads ``fixed_ones`` as it stood before the
+    # round; the round's fixings join the same set afterwards.
+    carve = partial(
+        grow_and_carve_covering, instance, graph, fixed_ones=fixed_ones, cache=cache
+    )
     cluster_rngs = spawn_rngs(phase_rng, max(1, len(clusters)))
     for i in range(1, params.t + 1):
-        interval = params.interval(i)
-        center_ids = [
-            idx
-            for idx, cluster in enumerate(clusters)
-            if cluster_rngs[idx].random()
-            < params.sampling_probability(
-                i, cluster.weight_self, cluster.weight_neighborhood
+        phase = f"phase1-iter{i}"
+        seed_sets = sample_centers(
+            clusters, cluster_rngs, partial(params.sampling_probability, i)
+        )
+        with _obs.span(f"covering.carve.{phase}"):
+            merged = carve_round(
+                graph, seed_sets, params.interval(i), remaining, carve, ledger, phase
             )
-        ]
-        removed_now: Set[int] = set()
-        fixed_now: Set[int] = set()
-        max_depth = 0
-        executed = 0
-        snapshot = remaining
-        if center_ids:
-            # One mask per residual snapshot, shared by all carves.
-            snapshot = graph.csr().residual_mask(remaining)
-        for idx in center_ids:
-            seeds = set(clusters[idx].vertices) & remaining
-            if not seeds:
-                continue
-            executed += 1
-            outcome = grow_and_carve_covering(
-                instance,
-                graph,
-                seeds,
-                interval,
-                snapshot,
-                fixed_ones,
-                cache=cache,
-            )
-            removed_now |= outcome.removed
-            fixed_now |= outcome.fixed_ones
-            max_depth = max(max_depth, outcome.depth)
-        fixed_ones |= fixed_now  # assignments union (Section 5.1.2)
-        remaining -= removed_now
-        removed |= removed_now
-        ledger.charge(f"phase1-iter{i}", 2 * interval[1], 2 * max_depth)
-        # Carves actually executed, not sampled centers (E12 accuracy).
-        centers_per_iteration.append(executed)
+        fixed_ones |= merged.fixed_ones
+        removed |= merged.removed
+        # Carves actually executed, not sampled clusters (E12 accuracy).
+        centers_per_iteration.append(merged.executed)
 
     chosen = set(fixed_ones)
     fixed_weight = instance.weight(fixed_ones)
 
     # -- Classify every constraint: satisfied / zone / residual. -------
-    zones = [set(c) for c in graph.connected_components(within=removed)]
-    # Per variable: its zone, -1 in the residual graph, -2 once fixed.
-    label = np.full(n, -1, dtype=np.intp)
-    for zidx, zone in enumerate(zones):
-        label[list(zone)] = zidx
-    label[list(fixed_ones)] = -2
-    rows, labels = instance.entry_rows(), label[instance.indices]
-    unsatisfied = instance.row_loads(fixed_ones) < instance.bounds - FEASIBILITY_TOL
-    free = unsatisfied[rows] & (labels != -2)
-    in_zone = free & (labels >= 0)
-    zoned = instance.row_sums(in_zone) > 0
-    residual_edges = np.flatnonzero(unsatisfied & ~zoned).tolist()
-    # A zone constraint's free variables must all lie in that one zone.
-    zone_of = np.full(instance.m, -1, dtype=np.intp)
-    zone_of[rows[in_zone]] = labels[in_zone]
-    stray = free & (labels != zone_of[rows])
-    broken = np.flatnonzero(zoned & (instance.row_sums(stray) > 0))
-    if len(broken):
-        raise ValueError(
-            f"constraint {broken[0]} spans zones/residual without being satisfied "
-            "— carve isolation invariant broken"
+    with _obs.span("covering.zones"):
+        zones = [set(c) for c in graph.connected_components(within=removed)]
+        # Per variable: its zone, -1 in the residual graph, -2 once fixed.
+        label = np.full(n, -1, dtype=np.intp)
+        for zidx, zone in enumerate(zones):
+            label[list(zone)] = zidx
+        label[list(fixed_ones)] = -2
+        rows, labels = instance.entry_rows(), label[instance.indices]
+        unsatisfied = (
+            instance.row_loads(fixed_ones) < instance.bounds - FEASIBILITY_TOL
         )
-    zone_edges: Dict[int, List[int]] = {}
-    for j in np.flatnonzero(zoned).tolist():
-        zone_edges.setdefault(int(zone_of[j]), []).append(j)
+        free = unsatisfied[rows] & (labels != -2)
+        in_zone = free & (labels >= 0)
+        zoned = instance.row_sums(in_zone) > 0
+        residual_edges = np.flatnonzero(unsatisfied & ~zoned).tolist()
+        # A zone constraint's free variables must all lie in that one zone.
+        zone_of = np.full(instance.m, -1, dtype=np.intp)
+        zone_of[rows[in_zone]] = labels[in_zone]
+        stray = free & (labels != zone_of[rows])
+        broken = np.flatnonzero(zoned & (instance.row_sums(stray) > 0))
+        if len(broken):
+            raise ValueError(
+                f"constraint {broken[0]} spans zones/residual without being "
+                "satisfied — carve isolation invariant broken"
+            )
+        zone_edges: Dict[int, List[int]] = {}
+        for j in np.flatnonzero(zoned).tolist():
+            zone_edges.setdefault(int(zone_of[j]), []).append(j)
 
-    # -- Zone interiors: optimal completion per zone. -------------------
-    max_zone_diameter = 0.0
-    for zidx, edges in sorted(zone_edges.items()):
-        sub = instance.restrict_to_edges(edges, fixed_ones=chosen)
-        local = solve_covering_exact(
-            sub, subset=zones[zidx] - chosen, cache=cache
-        )
-        chosen |= set(local.chosen)
-        max_zone_diameter = max(
-            max_zone_diameter, graph.weak_diameter(zones[zidx])
-        )
-    ledger.charge("zone-local-solve", int(max_zone_diameter))
+        # -- Zone interiors: optimal completion per zone. ---------------
+        max_zone_diameter = 0.0
+        for zidx, edges in sorted(zone_edges.items()):
+            sub = instance.restrict_to_edges(edges, fixed_ones=chosen)
+            local = solve_covering_exact(
+                sub, subset=zones[zidx] - chosen, cache=cache
+            )
+            chosen |= set(local.chosen)
+            max_zone_diameter = max(
+                max_zone_diameter, graph.weak_diameter(zones[zidx])
+            )
+        ledger.charge("zone-local-solve", int(max_zone_diameter))
 
     # -- Residual: Lemmas C.2 + C.3 with λ = ln(1 + ε/5). ---------------
-    if residual_edges:
-        residual_choice, cover = solve_covering_by_sparse_cover(
-            instance,
-            params.final_lambda,
-            ntilde=params.ntilde,
-            seed=final_rng,
-            within=remaining,
-            edge_indices=residual_edges,
-            fixed_ones=chosen,
-            cache=cache,
-        )
-        chosen |= residual_choice
-        ledger.merge(cover.ledger, prefix="final-")
+    with _obs.span("covering.residual"):
+        if residual_edges:
+            residual_choice, cover = solve_covering_by_sparse_cover(
+                instance,
+                params.final_lambda,
+                ntilde=params.ntilde,
+                seed=final_rng,
+                within=remaining,
+                edge_indices=residual_edges,
+                fixed_ones=chosen,
+                cache=cache,
+            )
+            chosen |= residual_choice
+            ledger.merge(cover.ledger, prefix="final-")
 
     require(
         instance.is_feasible(chosen),
@@ -219,61 +220,10 @@ def solve_covering(
     eps: float,
     ntilde: Optional[int] = None,
     seed: SeedLike = None,
-    profile: str = "practical",
     cache: Optional[SolveCache] = None,
-    **profile_kwargs,
 ) -> CoveringResult:
-    """Public entry point: profile construction + :func:`chang_li_covering`."""
+    """Public entry point: :func:`chang_li_covering` with
+    :meth:`CoveringParams.practical` constants."""
     ntilde = ntilde if ntilde is not None else max(instance.n, 2)
-    if profile == "paper":
-        params = CoveringParams.paper(eps, ntilde)
-    elif profile == "practical":
-        params = CoveringParams.practical(eps, ntilde, **profile_kwargs)
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
+    params = CoveringParams.practical(eps, ntilde)
     return chang_li_covering(instance, params, seed=seed, cache=cache)
-
-
-def _prepare_clusters(
-    instance: CoveringInstance,
-    graph: Graph,
-    hypergraph,
-    params: CoveringParams,
-    prep_rngs: Sequence,
-    ledger: RoundLedger,
-    cache: SolveCache,
-) -> List[_PrepCluster]:
-    """Preparation (Section 5.1.1): sparse covers + weight estimates."""
-    prep_ledgers = []
-    raw_clusters: List[Set[int]] = []
-    for rng in prep_rngs:
-        cover = sparse_cover(
-            hypergraph,
-            params.prep_lambda,
-            ntilde=params.ntilde,
-            seed=rng,
-        )
-        raw_clusters.extend(cover.clusters)
-        prep_ledgers.append(cover.ledger)
-    ledger.merge_parallel(prep_ledgers, "prep-sparse-cover")
-    clusters: List[_PrepCluster] = []
-    max_depth = 0
-    for cluster in raw_clusters:
-        gathered = gather_ball(graph, cluster, params.cluster_radius)
-        neighborhood = gathered.ball
-        max_depth = max(max_depth, gathered.depth_reached)
-        w_self = solve_covering_exact(
-            instance, subset=cluster, cache=cache
-        ).weight
-        w_neigh = solve_covering_exact(
-            instance, subset=neighborhood, cache=cache
-        ).weight
-        clusters.append(
-            _PrepCluster(
-                vertices=frozenset(cluster),
-                weight_self=w_self,
-                weight_neighborhood=w_neigh,
-            )
-        )
-    ledger.charge("prep-estimates", 2 * params.cluster_radius, 2 * max_depth)
-    return clusters

@@ -26,10 +26,11 @@ weighted generalization used by the Section 4 "alternative approach".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import List, Optional, Sequence, Set
 
 import repro.obs as _obs
-from repro.core.carve import grow_and_carve
+from repro.core.carve import carve_round, grow_and_carve
 from repro.core.params import LddParams
 from repro.decomp.elkin_neiman import elkin_neiman_ldd
 from repro.decomp.types import Decomposition
@@ -141,49 +142,49 @@ def chang_li_ldd(
                     )
         ledger.charge("estimate-nv", params.estimate_radius, max_depth)
 
-        # -- Phase 1: t sparsification iterations (Algorithm 2). ------
-        for i in range(1, params.t + 1):
-            interval = params.interval(i)
-            centers = [
-                v
-                for v in sorted(remaining)
-                if rngs[v].random()
-                < params.sampling_probability(i, max(1, int(sizes[v])))
-            ]
-            _apply_carves(
-                graph,
-                centers,
-                interval,
-                remaining,
-                deleted,
-                ledger,
+        # -- Phases 1 and 2 (Algorithms 2 and 3). ---------------------
+        # t sparsification iterations, then one boosted iteration.
+        # Vertex v draws from stream v in Phase 1 and n + v in Phase 2.
+        rounds = [
+            (
                 f"phase1-iter{i}",
-                weights,
-                trace,
-                mpc_run,
+                params.interval(i),
+                partial(params.sampling_probability, i),
+                0,
             )
-
-        # -- Phase 2: one boosted iteration (Algorithm 3). ------------
+            for i in range(1, params.t + 1)
+        ]
         if not skip_phase2:
-            interval = params.phase2_interval()
+            rounds.append(
+                ("phase2", params.phase2_interval(), params.phase2_probability, n)
+            )
+        carve = partial(grow_and_carve, graph, weights=weights, mpc=mpc_run)
+        for label, interval, probability, stream in rounds:
             centers = [
                 v
                 for v in sorted(remaining)
-                if rngs[n + v].random()
-                < params.phase2_probability(max(1, int(sizes[v])))
+                if rngs[stream + v].random() < probability(max(1, int(sizes[v])))
             ]
-            _apply_carves(
-                graph,
-                centers,
-                interval,
-                remaining,
-                deleted,
-                ledger,
-                "phase2",
-                weights,
-                trace,
-                mpc_run,
-            )
+            with _obs.span(f"ldd.carve.{label}"):
+                merged = carve_round(
+                    graph,
+                    ([v] for v in centers),
+                    interval,
+                    remaining,
+                    carve,
+                    ledger,
+                    label,
+                )
+            deleted |= merged.deleted
+            if trace is not None:
+                trace.centers_per_iteration.append(merged.executed)
+                trace.deleted_per_iteration.append(len(merged.deleted))
+                trace.removed_per_iteration.append(len(merged.removed))
+            # The same totals reach persisted rows whenever a collector
+            # is installed, trace or not.
+            _obs.count("ldd.carve.executed", merged.executed)
+            _obs.count("ldd.carve.deleted", len(merged.deleted))
+            _obs.count("ldd.carve.removed", len(merged.removed))
         if trace is not None:
             trace.residual_after_phase2 = len(remaining)
         _obs.gauge("ldd.residual_after_phase2", len(remaining))
@@ -229,27 +230,20 @@ def low_diameter_decomposition(
     eps: float,
     ntilde: Optional[int] = None,
     seed: SeedLike = None,
-    profile: str = "practical",
     kernel_workers: Optional[int] = None,
     execution_backend: str = "local",
     mpc=None,
-    **profile_kwargs,
 ) -> Decomposition:
-    """Convenience entry point: build params, run :func:`chang_li_ldd`.
+    """Convenience entry point: run :func:`chang_li_ldd` with
+    :meth:`LddParams.practical` constants.
 
-    ``profile`` selects :meth:`LddParams.paper` or
-    :meth:`LddParams.practical` (default; extra keyword arguments are
-    forwarded to the profile constructor).  ``kernel_workers``,
-    ``execution_backend`` and ``mpc`` are forwarded to
-    :func:`chang_li_ldd`.
+    For the paper's constants call
+    ``chang_li_ldd(graph, LddParams.paper(eps, ntilde))``.
+    ``kernel_workers``, ``execution_backend`` and ``mpc`` are forwarded
+    to :func:`chang_li_ldd`.
     """
     ntilde = ntilde if ntilde is not None else max(graph.n, 2)
-    if profile == "paper":
-        params = LddParams.paper(eps, ntilde)
-    elif profile == "practical":
-        params = LddParams.practical(eps, ntilde, **profile_kwargs)
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
+    params = LddParams.practical(eps, ntilde)
     return chang_li_ldd(
         graph,
         params,
@@ -258,64 +252,3 @@ def low_diameter_decomposition(
         execution_backend=execution_backend,
         mpc=mpc,
     )
-
-
-def _apply_carves(
-    graph: Graph,
-    centers: List[int],
-    interval: Tuple[int, int],
-    remaining: Set[int],
-    deleted: Set[int],
-    ledger: RoundLedger,
-    label: str,
-    weights: Optional[Sequence[float]],
-    trace: Optional[LddTrace],
-    mpc_run: Optional[MpcRun] = None,
-) -> None:
-    """Run all centers' carves against the same residual snapshot.
-
-    Merge rule (Section 3.1.2): a vertex deleted by any execution is
-    deleted, even if another execution removed it.  The shared snapshot
-    is converted to a boolean mask once and reused by every carve's
-    BFS.  With ``mpc_run``, every carve's gather runs
-    as metered partitioned BFS rounds instead of the single-box kernel.
-    """
-    removed_now: Set[int] = set()
-    deleted_now: Set[int] = set()
-    max_depth = 0
-    executed = 0
-    with _obs.span(f"ldd.carve.{label}"):
-        snapshot = remaining
-        if centers:
-            snapshot = graph.csr().residual_mask(remaining)
-        for center in centers:
-            if center not in remaining:
-                continue  # carved away by a parallel execution's snapshot merge
-            executed += 1
-            outcome = grow_and_carve(
-                graph,
-                [center],
-                interval,
-                snapshot,
-                weights=weights,
-                mpc=mpc_run,
-            )
-            removed_now |= outcome.removed
-            deleted_now |= outcome.deleted
-            max_depth = max(max_depth, outcome.depth)
-    removed_now -= deleted_now  # deleted wins
-    deleted |= deleted_now
-    remaining -= removed_now
-    remaining -= deleted_now
-    ledger.charge(label, 2 * interval[1], 2 * max_depth)
-    if trace is not None:
-        # Carves actually executed — not the sampled-center count, which
-        # would overstate work when a center was already carved away.
-        trace.centers_per_iteration.append(executed)
-        trace.deleted_per_iteration.append(len(deleted_now))
-        trace.removed_per_iteration.append(len(removed_now))
-    # Satellite of the LddTrace diagnostics: the same totals flow into
-    # persisted rows whenever a collector is installed, trace or not.
-    _obs.count("ldd.carve.executed", executed)
-    _obs.count("ldd.carve.deleted", len(deleted_now))
-    _obs.count("ldd.carve.removed", len(removed_now))

@@ -103,8 +103,6 @@ def ldd_with_ideal_diameter(
     eps: float,
     ntilde: Optional[int] = None,
     seed: SeedLike = None,
-    profile: str = "practical",
-    **profile_kwargs,
 ) -> Decomposition:
     """Theorem 1.1 end to end, including the refinement step.
 
@@ -117,12 +115,7 @@ def ldd_with_ideal_diameter(
     ntilde = ntilde if ntilde is not None else max(graph.n, 2)
     rngs = spawn_rngs(seed, 2)
     base = low_diameter_decomposition(
-        graph,
-        eps / 2.0,
-        ntilde=ntilde,
-        seed=rngs[0],
-        profile=profile,
-        **profile_kwargs,
+        graph, eps / 2.0, ntilde=ntilde, seed=rngs[0]
     )
     return refine_decomposition(
         graph, base, eps, ntilde=ntilde, seed=rngs[1]

@@ -119,44 +119,17 @@ class TestAblation:
         validate_partition(g, d.clusters, d.deleted)
 
 
-class TestProfiles:
-    def test_paper_profile_constructible(self):
+class TestPaperConstants:
+    def test_paper_constants_constructible(self):
         """Paper constants on a tiny graph: everything lands in one
         cluster (radii exceed the diameter) but the run must be valid."""
         g = path_graph(12)
-        d = low_diameter_decomposition(g, eps=0.4, seed=0, profile="paper")
+        d = chang_li_ldd(g, LddParams.paper(0.4, 12), seed=0)
         validate_partition(g, d.clusters, d.deleted)
         assert d.unclustered_fraction(g.n) <= 0.4
 
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError, match="profile"):
-            low_diameter_decomposition(cycle_graph(10), 0.3, profile="magic")
-
 
 class TestTraceCountsExecutedCarves:
-    def test_stale_centers_not_counted(self):
-        """Regression: ``centers_per_iteration`` used to record the
-        sampled-center count even when a center had already been carved
-        away and its carve skipped (E12 reports overstated work)."""
-        from repro.core.ldd import _apply_carves
-        from repro.local.gather import RoundLedger
-
-        g = path_graph(8)
-        remaining = {0, 1, 2, 3, 4}  # 5..7 already carved away
-        trace = LddTrace()
-        _apply_carves(
-            g,
-            [0, 6, 7],  # one live center, two stale ones
-            (1, 2),
-            remaining,
-            set(),
-            RoundLedger(),
-            "test",
-            None,
-            trace,
-        )
-        assert trace.centers_per_iteration == [1]
-
     def test_executed_counts_per_iteration(self):
         g = cycle_graph(120)
         params = LddParams.practical(0.2, 120)

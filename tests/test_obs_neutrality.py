@@ -76,13 +76,33 @@ class TestAlgorithmNeutrality:
         covering = _covering_instance("mds-grid-6x7")
         base_p = solve_packing(packing, eps=0.4, seed=3)
         base_c = solve_covering(covering, eps=0.4, seed=3)
-        with obs.collect():
+        with obs.collect() as col:
             traced_p = solve_packing(packing, eps=0.4, seed=3)
             traced_c = solve_covering(covering, eps=0.4, seed=3)
         assert sorted(traced_p.chosen) == sorted(base_p.chosen)
         assert traced_p.weight == base_p.weight
+        assert sorted(traced_p.deleted) == sorted(base_p.deleted)
+        assert traced_p.ledger == base_p.ledger
+        assert traced_p.centers_per_iteration == base_p.centers_per_iteration
         assert sorted(traced_c.chosen) == sorted(base_c.chosen)
         assert traced_c.weight == base_c.weight
+        assert traced_c.ledger == base_c.ledger
+        assert traced_c.centers_per_iteration == base_c.centers_per_iteration
+        # Both drivers are instrumented phase by phase, like the LDD.
+        table = col.span_table()
+        for path in (
+            "packing.prep",
+            "packing.carve.phase1-iter1",
+            "packing.carve.phase2",
+            "packing.final",
+            "covering.prep",
+            "covering.carve.phase1-iter1",
+            "covering.zones",
+            "covering.residual",
+        ):
+            assert path in table, path
+        assert "packing.carve.phase1-iter1/carve.gather" in table
+        assert "covering.carve.phase1-iter1/carve.gather" in table
 
 
 class TestKernelNeutrality:
